@@ -12,6 +12,8 @@
 //! this transformation because every modelled cost is linear in bytes.
 //! `EXPERIMENTS.md` records paper-vs-reproduced values.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod reconcile;
 pub mod swarm;
@@ -42,9 +44,7 @@ use revelio_storage::probed::ProbedDevice;
 use revelio_storage::verity::{VerityDevice, VerityParams, VerityTree};
 use revelio_telemetry::{DeviceProbe, Telemetry};
 use sev_snp::ids::GuestPolicy;
-pub use swarm::{
-    run_swarm, run_swarm_with_net, swarm_dimensions_from_env, SwarmReport, SWARM_DOMAIN, SWARM_SEED,
-};
+pub use swarm::{run_swarm, swarm_dimensions_from_env, SwarmReport, SWARM_DOMAIN, SWARM_SEED};
 pub use trace_demo::{
     run_trace_demo, TraceDemoReport, TraceScenario, TRACE_DEMO_FAULT_SEED, TRACE_DEMO_SEED,
 };

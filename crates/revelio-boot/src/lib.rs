@@ -43,6 +43,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod firmware;
 pub mod loader;

@@ -39,6 +39,8 @@
 //! # Ok::<(), revelio_build::BuildError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifacts;
 pub mod error;
 pub mod fstree;

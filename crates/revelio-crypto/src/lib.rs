@@ -48,6 +48,8 @@
 //! but they have not been audited or hardened against side channels beyond
 //! basic constant-time tag comparison; do not use them to protect real data.
 
+#![forbid(unsafe_code)]
+
 pub mod aead;
 pub mod aes;
 pub mod bigint;

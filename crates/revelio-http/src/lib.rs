@@ -18,6 +18,8 @@
 //! The conventional location for Revelio evidence is
 //! [`WELL_KNOWN_ATTESTATION_PATH`].
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod message;

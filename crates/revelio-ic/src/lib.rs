@@ -26,6 +26,8 @@
 //!   verifies subnet certificates itself, so even a lying boundary node
 //!   cannot forge payloads (only censor).
 
+#![forbid(unsafe_code)]
+
 pub mod boundary;
 pub mod canister;
 pub mod error;

@@ -24,10 +24,6 @@ pub enum NetError {
     /// The message was dropped in flight (injected fault); names the
     /// dialed address.
     Dropped(String),
-    /// All dedicated hot stripes are occupied; the named address stays on
-    /// its hash-assigned shard. A capacity-planning signal, not a
-    /// transport fault — dials to the address keep working.
-    HotStripesExhausted(String),
 }
 
 impl NetError {
@@ -54,9 +50,6 @@ impl fmt::Display for NetError {
             NetError::Protocol(why) => write!(f, "protocol error: {why}"),
             NetError::Timeout(a) => write!(f, "timed out waiting for {a}"),
             NetError::Dropped(a) => write!(f, "message to {a} dropped in flight"),
-            NetError::HotStripesExhausted(a) => {
-                write!(f, "no free hot stripe for {a}; address stays on its shard")
-            }
         }
     }
 }
@@ -87,13 +80,5 @@ mod tests {
         assert!(!NetError::NameResolution("a".into()).is_transient());
         assert!(!NetError::Protocol("x".into()).is_transient());
         assert!(!NetError::AddressInUse("a".into()).is_transient());
-        assert!(!NetError::HotStripesExhausted("a".into()).is_transient());
-    }
-
-    #[test]
-    fn hot_stripes_exhausted_names_the_address() {
-        assert!(NetError::HotStripesExhausted("kds:443".into())
-            .to_string()
-            .contains("kds:443"));
     }
 }

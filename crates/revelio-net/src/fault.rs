@@ -145,7 +145,7 @@ impl FaultPlan {
     }
 
     /// Compact deterministic digest of every plan parameter, used by view
-    /// fingerprints to compare routing state across fabric modes. `{:?}`
+    /// fingerprints to compare routing state across thread counts. `{:?}`
     /// on the probabilities prints the shortest round-trippable form, so
     /// equal plans always digest identically.
     #[must_use]

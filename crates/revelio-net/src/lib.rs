@@ -26,18 +26,16 @@
 //!   (scoped to handles from [`net::SimNet::bound_to`]), and scheduled
 //!   heal windows, installed via `net.install_fault_domain(..)`;
 //! * [`retry::RetryPolicy`] — bounded exponential backoff whose sleeps
-//!   advance the [`clock::SimClock`], never wall time;
-//! * [`snapshot::Snapshot`] — a from-scratch epoch/arc-swap cell giving
-//!   the dial fast path (and the KDS client's VCEK cache) lock-free
-//!   reads of rarely-republished immutable state.
+//!   advance the [`clock::SimClock`], never wall time.
 //!
 //! Exchanges are synchronous — protocol state machines remain ordinary
 //! sequential code — but the fabric itself is sharded and thread-safe:
-//! dials to distinct addresses from different OS threads never contend
-//! (and, on the default snapshot read path, clean dials touch no locks
-//! at all), and the determinism contract (per-address seeded fault
-//! streams, a lock-free [`clock::SimClock`]) holds under any thread
-//! interleaving. See [`net`] for the sharding and determinism story.
+//! per-address state sits in a fixed array of `RwLock` shards, so dials
+//! to distinct addresses from different OS threads take read locks on
+//! (mostly) different shards, and the determinism contract (per-address
+//! seeded fault streams, a lock-free [`clock::SimClock`]) holds under any
+//! thread interleaving. See [`net`] for the sharding and determinism
+//! story.
 //!
 //! ```
 //! use revelio_net::clock::SimClock;
@@ -65,6 +63,8 @@
 //! # Ok::<(), revelio_net::NetError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod dns;
 pub mod domain;
@@ -72,8 +72,6 @@ pub mod error;
 pub mod fault;
 pub mod net;
 pub mod retry;
-pub mod snapshot;
-pub(crate) mod view;
 
 pub use domain::{DomainEffect, FaultDomain};
 pub use error::NetError;

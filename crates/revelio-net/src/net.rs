@@ -1,62 +1,46 @@
 //! The simulated network fabric: listeners, connections, latency, and
 //! man-in-the-middle hooks.
 //!
-//! # Sharding and the lock-free read path
+//! # The sharded store
 //!
 //! The fabric is built for thousand-node fleets driven from many OS
 //! threads. All per-address state (listeners, latency overrides,
-//! redirects, tamper hooks, fault plans) lives in a fixed power-of-two
-//! array of `RwLock` shards keyed by `fnv1a(address)` — the
-//! **write-side store**. On top of it, the default
-//! [`ReadPath::Snapshot`] mode maintains an immutable [`RoutingView`]
-//! behind a [`crate::snapshot::Snapshot`]: every mutating operation
-//! (bind/unbind, shaper edits, fault-domain install/heal) republishes
-//! the view copy-on-write, and a dial to a clean address — no fault
-//! plan, no active domain — touches **zero locks**: one atomic snapshot
-//! load, one hash lookup, done. The view is a persistent slot tree
-//! ([`crate::view::SlotTree`]): a single-address republish path-copies
-//! O(levels) interior nodes and shares everything else with the previous
-//! view, and [`SimNet::batch`] coalesces a burst of mutations (fleet
-//! provisioning) into one republish. Fault draws read **live entries
-//! published inside the view** (`Arc<Mutex<FaultEntry>>` shared with the
-//! shard maps), so chaos-mode traffic locks only a per-entry mutex —
-//! never a shard. The locked write-side path remains authoritative
-//! whenever fault domains are installed or a batch is in flight, and is
-//! the whole story in [`ReadPath::Locked`] mode. The legacy single-mutex
-//! fabric ([`NetConfig::shards`]` = 1`) and the locked sharded fabric are
-//! kept as A/B baselines for `revelio-bench`'s three-way fleet benchmark.
+//! redirects, tamper hooks, fault plans) lives in a fixed array of
+//! [`SHARDS`] `RwLock` shards keyed by `fnv1a(address)`. A dial takes
+//! one read lock on the dialed address's shard (two under a redirect),
+//! an exchange one more to find its governing fault plan, and a mutation
+//! one write lock. No path ever holds two shard locks at once, so
+//! lookups cannot deadlock, and dials to distinct addresses from
+//! different threads only meet when their addresses share a shard.
 //!
-//! Known-hot addresses (the KDS, boundary nodes) can be striped out of
-//! the hashed shard array via [`SimNet::stripe_hot`]: a hot address gets
-//! a dedicated lock slot, so its fault-entry updates no longer serialize
-//! the write path of every cold address that happens to hash into the
-//! same shard.
+//! Fault entries are shared (`Arc<Mutex<FaultEntry>>`) out of the shard
+//! maps: a fault draw clones the entry under the shard's read lock and
+//! then locks only the entry, so chaos traffic never takes a shard write
+//! lock per draw. Fault domains span shards and sit in one fabric-wide
+//! `RwLock`; with none installed, the check is a read-lock emptiness
+//! test.
 //!
 //! # Determinism
 //!
-//! Neither sharding nor the snapshot path touches the determinism
-//! contract: every fault stream is keyed by its address (or
-//! `(address, route-prefix)`) and seeded as `fabric_seed ^ fnv1a(key)`,
-//! so equal seeds produce byte-identical decision streams regardless of
-//! shard count, read path, thread count, or dial interleaving across
-//! addresses. Mutations republish the snapshot before returning, so a
-//! thread observes its own writes in program order — exactly the
-//! ordering the locked path provides. The global fault counter is a
-//! relaxed atomic: its total is a sum of per-stream counts and therefore
-//! equally interleaving-independent.
+//! Sharding does not touch the determinism contract: every fault stream
+//! is keyed by its address (or `(address, route-prefix)`) and seeded as
+//! `fabric_seed ^ fnv1a(key)`, so equal seeds produce byte-identical
+//! decision streams regardless of thread count or dial interleaving
+//! across addresses. Every mutation is applied to the shard maps before
+//! it returns, so a thread observes its own writes in program order. The
+//! global fault counter is a relaxed atomic: its total is a sum of
+//! per-stream counts and therefore equally interleaving-independent.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use crate::clock::SimClock;
 use crate::domain::{domain_stream_key, DomainEffect, FaultDomain};
 use crate::fault::{fnv1a, route_stream_key, FaultEntry, FaultKind, FaultObserver, FaultPlan};
-use crate::snapshot::Snapshot;
-use crate::view::{PeerExtra, PeerView, SharedFaultEntry, SlotTree};
 use crate::NetError;
 
 /// Per-connection server-side state machine.
@@ -83,96 +67,38 @@ pub trait Listener: Send + Sync {
 /// Tampering hook: may rewrite a client→server message in flight.
 pub type TamperFn = dyn Fn(&[u8]) -> Vec<u8> + Send + Sync;
 
-/// Everything a clean (fault-free) dial needs from the routing view:
-/// the effective listener, an optional one-way latency override, and an
-/// optional tamper hook. `None` means nothing listens at the address.
-type CleanRoute = Option<(Arc<dyn Listener>, Option<u64>, Option<Arc<TamperFn>>)>;
-
-/// Default shard count: enough to keep 16 benchmark threads off each
+/// Number of fabric shards: enough to keep 16 benchmark threads off each
 /// other's cache lines without bloating small single-threaded worlds.
-pub const DEFAULT_SHARDS: usize = 16;
+pub const SHARDS: usize = 16;
 
-/// Dedicated lock slots reserved for hot addresses beyond the hashed
-/// shard array (see [`SimNet::stripe_hot`]).
-pub const HOT_STRIPES: usize = 8;
-
-/// How dials and exchanges read per-address routing state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Every lookup goes through the shard locks (the PR-3 fabric).
-    /// Kept as the A/B baseline for the fleet benchmark.
-    Locked,
-    /// Clean-path lookups go through an immutable epoch snapshot
-    /// republished by the rare mutating ops; only fault-entry state (RNG
-    /// draws, fail-first counters) still takes shard locks.
-    #[default]
-    Snapshot,
-}
+/// A fault entry shared between the shard maps and in-flight draws. The
+/// mutex is a leaf lock: holders never take a shard lock.
+type SharedFaultEntry = Arc<Mutex<FaultEntry>>;
 
 /// Fabric configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Default one-way link latency in microseconds.
     pub default_one_way_us: u64,
-    /// Number of fabric shards, rounded up to a power of two. `1` (or 0)
-    /// selects the legacy single-mutex fabric — kept only as the A/B
-    /// baseline for the fleet benchmark; every lookup then serializes on
-    /// one lock.
-    pub shards: usize,
-    /// Whether clean-path reads use the lock-free snapshot (default) or
-    /// the shard locks.
-    pub read_path: ReadPath,
 }
 
 impl Default for NetConfig {
-    /// 2.6 ms one way — the paper's 5.2 ms base round trip (Table 3) —
-    /// on a [`DEFAULT_SHARDS`]-way sharded fabric with snapshot reads.
+    /// 2.6 ms one way — the paper's 5.2 ms base round trip (Table 3).
     fn default() -> Self {
         NetConfig {
             default_one_way_us: 2600,
-            shards: DEFAULT_SHARDS,
-            read_path: ReadPath::Snapshot,
         }
     }
 }
 
-impl NetConfig {
-    /// Applies the `REVELIO_FABRIC_MODE` environment override:
-    /// `single` (one mutex, locked reads), `sharded` (shard locks, no
-    /// snapshot), or `snapshot` (the default). CI uses this to run the
-    /// determinism suites under every fabric mode without code changes.
-    #[must_use]
-    pub fn with_env_mode(mut self) -> Self {
-        match std::env::var("REVELIO_FABRIC_MODE").as_deref() {
-            Ok("single") => {
-                self.shards = 1;
-                self.read_path = ReadPath::Locked;
-            }
-            Ok("sharded") => {
-                self.shards = self.shards.max(DEFAULT_SHARDS);
-                self.read_path = ReadPath::Locked;
-            }
-            Ok("snapshot") => {
-                self.shards = self.shards.max(DEFAULT_SHARDS);
-                self.read_path = ReadPath::Snapshot;
-            }
-            _ => {}
-        }
-        self
-    }
-}
-
-/// All per-address state of one lock slot (a hashed shard, a hot stripe,
-/// or — in single-lock mode — the whole fabric).
+/// All per-address state of one shard.
 #[derive(Default)]
 struct ShardState {
     listeners: HashMap<String, Arc<dyn Listener>>,
     latency_overrides: HashMap<String, u64>,
     redirects: HashMap<String, String>,
     tamper: HashMap<String, Arc<TamperFn>>,
-    /// Address-wide fault plans. Entries are shared (`Arc<Mutex<_>>`)
-    /// with the published routing view, so both read paths consume the
-    /// same decision stream.
+    /// Address-wide fault plans.
     faults: HashMap<String, SharedFaultEntry>,
     /// Per-route fault plans: address → `(path-prefix, entry)` list. The
     /// longest matching prefix wins; the address-wide plan is the
@@ -181,177 +107,46 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Builds the published view of one address from this slot's maps —
-    /// the incremental-republish unit: six single-key lookups, not a
-    /// whole-slot collapse. Returns `None` when nothing is known.
-    fn peer_view_of(&self, address: &str) -> Option<PeerView> {
-        let redirect = self.redirects.get(address).cloned();
-        let tamper = self.tamper.get(address).cloned();
-        let fault = self.faults.get(address).cloned();
-        let routes: Option<Arc<[(String, SharedFaultEntry)]>> =
-            self.route_faults.get(address).map(|routes| {
-                routes
-                    .iter()
-                    .map(|(prefix, entry)| (prefix.clone(), Arc::clone(entry)))
-                    .collect()
-            });
-        let extra = (redirect.is_some() || tamper.is_some() || fault.is_some() || routes.is_some())
-            .then(|| {
-                Box::new(PeerExtra {
-                    redirect,
-                    tamper,
-                    fault,
-                    routes,
-                })
-            });
-        let view = PeerView {
-            listener: self.listeners.get(address).cloned(),
-            latency_us: self.latency_overrides.get(address).copied(),
-            extra,
-        };
-        (!view.is_empty()).then_some(view)
-    }
-
-    /// Appends every address known to this slot, with its view, to
-    /// `out` (the full-rebuild path). Merges the six maps in one pass —
-    /// one probe per stored fact — instead of calling [`Self::peer_view_of`]
-    /// (six probes) per address; on a freshly provisioned fleet, where
-    /// almost every address has exactly one fact (its listener), that is
-    /// six times fewer hash lookups on the batch-overflow flush.
-    fn collect_views(&self, out: &mut Vec<(String, PeerView)>) {
-        // Freshly provisioned shards hold exactly one fact per address —
-        // its listener. Skip the merge map entirely for that shape; it
-        // is the whole working set of the batch-overflow flush right
-        // after `deploy_fleet`.
-        if self.latency_overrides.is_empty()
-            && self.redirects.is_empty()
-            && self.tamper.is_empty()
-            && self.faults.is_empty()
-            && self.route_faults.is_empty()
-        {
-            out.reserve(self.listeners.len());
-            for (address, listener) in &self.listeners {
-                out.push((
-                    address.clone(),
-                    PeerView {
-                        listener: Some(Arc::clone(listener)),
-                        ..PeerView::default()
-                    },
-                ));
-            }
-            return;
-        }
-        let mut views: HashMap<&str, PeerView> = HashMap::with_capacity(self.listeners.len());
-        for (address, listener) in &self.listeners {
-            views.entry(address.as_str()).or_default().listener = Some(Arc::clone(listener));
-        }
-        for (address, latency) in &self.latency_overrides {
-            views.entry(address.as_str()).or_default().latency_us = Some(*latency);
-        }
-        for (address, target) in &self.redirects {
-            views
-                .entry(address.as_str())
-                .or_default()
-                .extra_mut()
-                .redirect = Some(target.clone());
-        }
-        for (address, tamper) in &self.tamper {
-            views
-                .entry(address.as_str())
-                .or_default()
-                .extra_mut()
-                .tamper = Some(Arc::clone(tamper));
-        }
-        for (address, entry) in &self.faults {
-            views.entry(address.as_str()).or_default().extra_mut().fault = Some(Arc::clone(entry));
-        }
-        for (address, routes) in &self.route_faults {
-            views
-                .entry(address.as_str())
-                .or_default()
-                .extra_mut()
-                .routes = Some(
-                routes
-                    .iter()
-                    .map(|(prefix, entry)| (prefix.clone(), Arc::clone(entry)))
-                    .collect(),
+    /// Appends one canonical line per address known to this shard:
+    /// `(address, description, planned)`. See [`SimNet::view_fingerprint`].
+    fn describe_into(&self, out: &mut Vec<(String, String, bool)>) {
+        let addresses: BTreeSet<&String> = self
+            .listeners
+            .keys()
+            .chain(self.latency_overrides.keys())
+            .chain(self.redirects.keys())
+            .chain(self.tamper.keys())
+            .chain(self.faults.keys())
+            .chain(self.route_faults.keys())
+            .collect();
+        for address in addresses {
+            let mut line = String::new();
+            let _ = write!(
+                line,
+                "listener:{} latency:{:?} redirect:{:?} tamper:{}",
+                u8::from(self.listeners.contains_key(address)),
+                self.latency_overrides.get(address),
+                self.redirects.get(address).map(String::as_str),
+                u8::from(self.tamper.contains_key(address)),
             );
-        }
-        out.reserve(views.len());
-        for (address, view) in views {
-            if !view.is_empty() {
-                out.push((address.to_owned(), view));
+            let fault = self.faults.get(address);
+            if let Some(entry) = fault {
+                let _ = write!(line, " plan:[{}]", entry.lock().plan.fingerprint());
             }
+            let routes = self.route_faults.get(address);
+            if let Some(routes) = routes {
+                let mut routes: Vec<(String, String)> = routes
+                    .iter()
+                    .map(|(prefix, entry)| (prefix.clone(), entry.lock().plan.fingerprint()))
+                    .collect();
+                routes.sort();
+                for (prefix, plan) in routes {
+                    let _ = write!(line, " route:{prefix}:[{plan}]");
+                }
+            }
+            out.push((address.clone(), line, fault.is_some() || routes.is_some()));
         }
     }
-}
-
-/// Where the per-address state lives.
-enum Topology {
-    /// Legacy baseline: one mutex around everything.
-    Single(Box<Mutex<ShardState>>),
-    /// `base` hashed slots (a power of two; an address lives in slot
-    /// `fnv1a(address) & mask`) followed by [`HOT_STRIPES`] dedicated
-    /// hot-address slots.
-    Sharded {
-        shards: Box<[RwLock<ShardState>]>,
-        mask: u64,
-    },
-}
-
-/// The immutable routing snapshot published by mutating operations. The
-/// routing data lives in a persistent [`SlotTree`] keyed purely by the
-/// address hash — independent of the lock topology, so hot-stripe moves
-/// never touch the view and a republish path-copies O(levels) nodes.
-struct RoutingView {
-    tree: SlotTree,
-    /// Whether any fault domain is installed. Domain activity windows
-    /// depend on sim time, so the view only gates the emptiness check;
-    /// non-empty sends dials to the locked domain logic.
-    has_domains: bool,
-    /// No plan on any peer (the tree's stored planned count is zero) and
-    /// no domain installed: the per-exchange fault check can answer
-    /// "clean" from two field loads, without hashing the dialed address
-    /// into the tree. On a faultless fleet (the common case, and the
-    /// benchmark's browse phase) this is what keeps the snapshot
-    /// exchange cheaper than an uncontended lock.
-    all_clean: bool,
-    /// Publish sequence number, strictly increasing across republishes.
-    /// A [`Connection`] stamps its dial-time clean verdict with this and
-    /// [`Fabric::view_gen`] revalidates it per exchange with one atomic
-    /// load: generations equal ⟹ the live view is the very one the
-    /// verdict came from.
-    generation: u64,
-}
-
-impl RoutingView {
-    fn peer(&self, address: &str) -> Option<&PeerView> {
-        self.tree.peer(address)
-    }
-
-    /// The stored-flag value: true iff no peer carries a plan and no
-    /// domain is installed.
-    fn derive_all_clean(tree: &SlotTree, has_domains: bool) -> bool {
-        !has_domains && tree.planned() == 0
-    }
-}
-
-/// Once a batch has deferred this many distinct republishes, the flush
-/// switches from incremental leaf updates to one full rebuild — at that
-/// size the rebuild is cheaper than path-copying per address.
-const BATCH_REBUILD_THRESHOLD: usize = 1024;
-
-/// Mutations deferred by an open [`SimNet::batch`] scope.
-#[derive(Default)]
-struct BatchState {
-    /// Nesting depth of open batch scopes (batches compose).
-    depth: usize,
-    /// Addresses whose view entry must be refreshed at flush time.
-    /// Duplicates are fine — the flush dedupes.
-    dirty: Vec<String>,
-    /// Set once `dirty` crosses [`BATCH_REBUILD_THRESHOLD`]: the flush
-    /// rebuilds the whole tree instead of tracking every address.
-    rebuild_all: bool,
 }
 
 /// One installed [`FaultDomain`] plus its lazily created per-destination
@@ -363,414 +158,42 @@ struct DomainState {
 
 /// The shared interior of a [`SimNet`] (and of every [`Connection`]).
 struct Fabric {
-    topology: Topology,
-    /// Number of hashed slots (1 for the single-lock topology).
-    base_slots: usize,
-    /// Hot-stripe registry: `hot_addrs[..hot_count]` are striped, in
-    /// registration order. Appended under `hot_reg`; readers only need
-    /// the `Acquire` count.
-    hot_count: AtomicUsize,
-    hot_addrs: Box<[OnceLock<String>]>,
-    hot_reg: Mutex<()>,
-    /// The published routing snapshot ([`ReadPath::Snapshot`] only).
-    view: Option<Snapshot<RoutingView>>,
-    /// Generation of the latest *published or in-flight* routing view.
-    /// Bumped (fetch-add) before every swap, so the counter is never
-    /// behind a live view: a connection's stamped generation matching
-    /// this counter proves the view it judged clean is still the live
-    /// one (a counter ahead of the view merely forces a spurious
-    /// re-check). A batch's first deferred mutation also bumps it, which
-    /// is what invalidates every outstanding clean stamp while the view
-    /// is stale. Exchanges validate against it with a single atomic
-    /// load — the cheapest possible clean-path fault check.
-    view_gen: AtomicU64,
-    /// Nonzero while a [`SimNet::batch`] scope is open somewhere. The
-    /// snapshot fast paths check it (one relaxed load) and fall back to
-    /// the locked path while mutations are deferred — a thread inside
-    /// its own batch therefore still observes its writes in program
-    /// order. Mirrors `batch.depth`; the mutex holds the truth.
-    batch_depth: AtomicUsize,
-    /// Deferred-republish state for open batch scopes.
-    batch: Mutex<BatchState>,
-    /// Hot-stripe registrations refused because all [`HOT_STRIPES`]
-    /// slots were taken (see [`SimNet::stripe_hot`]).
-    hot_overflows: AtomicU64,
+    /// An address lives in shard `fnv1a(address) % SHARDS`.
+    shards: [RwLock<ShardState>; SHARDS],
     /// Fabric-wide fault seed; per-stream RNGs derive from it.
     fault_seed: AtomicU64,
     /// Total faults injected. Relaxed: the total is a sum of per-stream
     /// counts, so no ordering is needed for it to be deterministic.
     faults_injected: AtomicU64,
-    /// Per-slot lock-acquisition counters (one slot for the single-lock
-    /// topology). Relaxed increments: each acquisition maps to a fixed
-    /// slot regardless of interleaving, so the per-slot totals are
-    /// deterministic for a deterministic workload. Snapshot loads are
-    /// not lock acquisitions and are not charged.
-    acquisitions: Box<[AtomicU64]>,
     fault_observer: RwLock<Option<Arc<FaultObserver>>>,
     /// Correlated-failure domains, fabric-wide because a domain spans
-    /// shards. Not charged to [`ShardLoad`]: it is not a shard lock, and
-    /// the no-domain fast path is a snapshot flag (or, in locked mode, a
-    /// single read-lock emptiness check).
+    /// shards.
     domains: RwLock<Vec<DomainState>>,
 }
 
-/// A snapshot of how fabric lock acquisitions distributed across shards.
-///
-/// Every [`Fabric`] lock acquisition (read or write) is charged to the
-/// slot it touched; the single-lock topology charges everything to one
-/// slot. For a deterministic workload the distribution is itself
-/// deterministic, which lets benchmarks derive a machine-independent
-/// serialization model: a single lock serializes every acquisition, while
-/// shards serialize only within a shard. The snapshot read path acquires
-/// no locks on clean traffic, which is why the model was demoted to a
-/// secondary figure — a lock-free path has nothing for it to count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Acquisition count per slot (length 1 for the single-lock fabric;
-    /// hashed shards followed by hot stripes otherwise).
-    pub per_shard: Vec<u64>,
-}
-
-impl ShardLoad {
-    /// Total lock acquisitions across all slots.
-    pub fn total(&self) -> u64 {
-        self.per_shard.iter().sum()
-    }
-
-    /// Acquisitions on the most loaded slot — the serialization
-    /// bottleneck when slots are serviced concurrently.
-    pub fn hottest(&self) -> u64 {
-        self.per_shard.iter().copied().max().unwrap_or(0)
-    }
-}
-
 impl Fabric {
-    fn new(shards: usize, read_path: ReadPath) -> Self {
-        let (topology, base, slots) = if shards <= 1 {
-            (
-                Topology::Single(Box::new(Mutex::new(ShardState::default()))),
-                1,
-                1,
-            )
-        } else {
-            let n = shards.next_power_of_two();
-            let total = n + HOT_STRIPES;
-            let shards = (0..total)
-                .map(|_| RwLock::new(ShardState::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice();
-            (
-                Topology::Sharded {
-                    shards,
-                    mask: (n - 1) as u64,
-                },
-                n,
-                total,
-            )
-        };
-        let view = match read_path {
-            ReadPath::Locked => None,
-            ReadPath::Snapshot => Some(Snapshot::new(Arc::new(RoutingView {
-                tree: SlotTree::default(),
-                has_domains: false,
-                all_clean: true,
-                generation: 0,
-            }))),
-        };
+    fn new() -> Self {
         Fabric {
-            topology,
-            base_slots: base,
-            hot_count: AtomicUsize::new(0),
-            hot_addrs: (0..if base > 1 { HOT_STRIPES } else { 0 })
-                .map(|_| OnceLock::new())
-                .collect(),
-            hot_reg: Mutex::new(()),
-            view,
-            view_gen: AtomicU64::new(0),
-            batch_depth: AtomicUsize::new(0),
-            batch: Mutex::new(BatchState::default()),
-            hot_overflows: AtomicU64::new(0),
+            shards: std::array::from_fn(|_| RwLock::new(ShardState::default())),
             fault_seed: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
-            acquisitions: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             fault_observer: RwLock::new(None),
             domains: RwLock::new(Vec::new()),
         }
     }
 
-    fn charge(&self, slot: usize) {
-        self.acquisitions[slot].fetch_add(1, Ordering::Relaxed);
+    fn shard(&self, address: &str) -> &RwLock<ShardState> {
+        &self.shards[(fnv1a(address) % SHARDS as u64) as usize]
     }
 
-    fn shard_load(&self) -> ShardLoad {
-        ShardLoad {
-            per_shard: self
-                .acquisitions
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// The lock slot `address` lives in: its hot stripe if registered,
-    /// else its hashed shard.
-    fn slot_of(&self, address: &str) -> usize {
-        match &self.topology {
-            Topology::Single(_) => 0,
-            Topology::Sharded { mask, .. } => {
-                let hot = self.hot_count.load(Ordering::Acquire);
-                for i in 0..hot {
-                    if self.hot_addrs[i].get().is_some_and(|a| a == address) {
-                        return self.base_slots + i;
-                    }
-                }
-                (fnv1a(address) & mask) as usize
-            }
-        }
-    }
-
-    /// Runs `f` under a read lock on slot `idx`.
-    fn read_slot<R>(&self, idx: usize, f: impl FnOnce(&ShardState) -> R) -> R {
-        self.charge(idx);
-        match &self.topology {
-            Topology::Single(state) => f(&state.lock()),
-            Topology::Sharded { shards, .. } => f(&shards[idx].read()),
-        }
-    }
-
-    /// Runs `f` under a read lock on `address`'s slot. Never called with
-    /// another shard lock held, so two-shard lookups cannot deadlock.
+    /// Runs `f` under a read lock on `address`'s shard.
     fn read<R>(&self, address: &str, f: impl FnOnce(&ShardState) -> R) -> R {
-        self.read_slot(self.slot_of(address), f)
+        f(&self.shard(address).read())
     }
 
-    /// Runs `f` under a write lock on `address`'s slot.
+    /// Runs `f` under a write lock on `address`'s shard.
     fn write<R>(&self, address: &str, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        let idx = self.slot_of(address);
-        self.charge(idx);
-        match &self.topology {
-            Topology::Single(state) => f(&mut state.lock()),
-            Topology::Sharded { shards, .. } => f(&mut shards[idx].write()),
-        }
-    }
-
-    /// Runs `f` on every slot in turn (write-locked one at a time),
-    /// hot stripes included.
-    fn for_each_shard(&self, mut f: impl FnMut(&mut ShardState)) {
-        match &self.topology {
-            Topology::Single(state) => f(&mut state.lock()),
-            Topology::Sharded { shards, .. } => {
-                for shard in shards.iter() {
-                    f(&mut shard.write());
-                }
-            }
-        }
-    }
-
-    /// The generation for the next published view, bumped with a
-    /// fetch-add so it is strictly increasing across republishes *and*
-    /// batch-start bumps — a stale clean stamp can therefore never alias
-    /// a later generation. Republish callers hold the snapshot writer
-    /// lock; bumping before the swap keeps the counter never-behind the
-    /// live view (see `view_gen`'s invariant).
-    fn next_view_gen(&self) -> u64 {
-        self.view_gen.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Republishes the snapshot entry for `address` (after a mutation
-    /// there). No-op in locked mode. Inside an open batch scope the
-    /// republish is deferred: the address is noted dirty and the flush
-    /// publishes everything at once.
-    fn republish_address(&self, address: &str) {
-        if self.view.is_none() {
-            return;
-        }
-        if self.batch_depth.load(Ordering::Relaxed) > 0 {
-            let mut batch = self.batch.lock();
-            if batch.depth > 0 {
-                if !batch.rebuild_all {
-                    if batch.dirty.is_empty() {
-                        // First deferral of this batch: invalidate every
-                        // outstanding clean stamp so connections re-check
-                        // (and, seeing the open batch, go locked).
-                        self.view_gen.fetch_add(1, Ordering::SeqCst);
-                    }
-                    if batch.dirty.len() >= BATCH_REBUILD_THRESHOLD {
-                        batch.rebuild_all = true;
-                        batch.dirty = Vec::new();
-                    } else {
-                        batch.dirty.push(address.to_owned());
-                    }
-                }
-                return;
-            }
-            // The batch ended between the atomic check and the lock:
-            // publish immediately like any unbatched mutation.
-        }
-        self.publish_addresses(std::slice::from_ref(&address.to_owned()));
-    }
-
-    /// Publishes fresh view entries for `addresses` (deduplicated) in
-    /// one copy-on-write tree update. Entry views are computed under the
-    /// snapshot writer lock so concurrent republishes of the same
-    /// address compose instead of overwriting each other.
-    fn publish_addresses(&self, addresses: &[String]) {
-        let Some(view) = &self.view else { return };
-        let mut seen: HashSet<&str> = HashSet::with_capacity(addresses.len());
-        let unique: Vec<&String> = addresses
-            .iter()
-            .filter(|a| seen.insert(a.as_str()))
-            .collect();
-        view.update(|current| {
-            let updates: Vec<(String, Option<PeerView>)> = unique
-                .iter()
-                .map(|address| {
-                    let entry = self.read(address, |state| state.peer_view_of(address));
-                    ((*address).clone(), entry)
-                })
-                .collect();
-            let tree = current.tree.with_updates(updates);
-            let all_clean = RoutingView::derive_all_clean(&tree, current.has_domains);
-            (
-                Arc::new(RoutingView {
-                    tree,
-                    has_domains: current.has_domains,
-                    all_clean,
-                    generation: self.next_view_gen(),
-                }),
-                (),
-            )
-        });
-    }
-
-    /// Rebuilds and republishes the whole view from the shard maps (the
-    /// batch-overflow flush path).
-    fn publish_rebuild_all(&self) {
-        let Some(view) = &self.view else { return };
-        view.update(|current| {
-            let mut entries = Vec::new();
-            for idx in 0..self.acquisitions.len() {
-                self.read_slot(idx, |state| state.collect_views(&mut entries));
-            }
-            let tree = SlotTree::rebuilt_from(entries);
-            let all_clean = RoutingView::derive_all_clean(&tree, current.has_domains);
-            (
-                Arc::new(RoutingView {
-                    tree,
-                    has_domains: current.has_domains,
-                    all_clean,
-                    generation: self.next_view_gen(),
-                }),
-                (),
-            )
-        });
-    }
-
-    /// Republishes the domain-emptiness flag (after install/clear). A
-    /// flag-only republish: the new view **shares** the previous view's
-    /// tree (one `Arc` clone) instead of cloning any routing data.
-    fn republish_domains(&self) {
-        let Some(view) = &self.view else { return };
-        view.update(|current| {
-            let has_domains = !self.domains.read().is_empty();
-            let all_clean = RoutingView::derive_all_clean(&current.tree, has_domains);
-            (
-                Arc::new(RoutingView {
-                    tree: current.tree.clone(),
-                    has_domains,
-                    all_clean,
-                    generation: self.next_view_gen(),
-                }),
-                (),
-            )
-        });
-    }
-
-    /// Opens a batch scope (scopes nest). While open, republishes are
-    /// deferred and the snapshot fast paths detour to the locked path,
-    /// so every thread still observes its own mutations in program
-    /// order.
-    fn begin_batch(&self) {
-        let mut batch = self.batch.lock();
-        batch.depth += 1;
-        self.batch_depth.store(batch.depth, Ordering::SeqCst);
-    }
-
-    /// Closes a batch scope; the outermost close flushes every deferred
-    /// republish in one view update **before** clearing the depth
-    /// marker, so a dial can never read a stale view as "not batching".
-    fn end_batch(&self) {
-        let mut batch = self.batch.lock();
-        batch.depth -= 1;
-        if batch.depth == 0 {
-            let dirty = std::mem::take(&mut batch.dirty);
-            let rebuild_all = std::mem::take(&mut batch.rebuild_all);
-            if rebuild_all {
-                self.publish_rebuild_all();
-            } else if !dirty.is_empty() {
-                self.publish_addresses(&dirty);
-            }
-        }
-        self.batch_depth.store(batch.depth, Ordering::SeqCst);
-    }
-
-    /// Moves `address` onto a dedicated hot stripe. See
-    /// [`SimNet::stripe_hot`].
-    fn stripe_hot(&self, address: &str) -> Result<(), NetError> {
-        let Topology::Sharded { shards, mask } = &self.topology else {
-            return Ok(()); // one lock total: striping cannot help
-        };
-        let _reg = self.hot_reg.lock();
-        let count = self.hot_count.load(Ordering::Acquire);
-        if (0..count).any(|i| self.hot_addrs[i].get().is_some_and(|a| a == address)) {
-            return Ok(()); // already striped
-        }
-        if count == HOT_STRIPES {
-            // Stripes exhausted: the address keeps its hashed placement
-            // (correct, just not isolated). Surface the miss instead of
-            // indexing past `hot_addrs`.
-            self.hot_overflows.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::HotStripesExhausted(address.to_owned()));
-        }
-        let old = (fnv1a(address) & mask) as usize;
-        let new = self.base_slots + count;
-        {
-            // Old is a hashed slot, new a stripe slot: old < new always,
-            // and no other path ever holds two slot locks, so taking both
-            // cannot deadlock.
-            self.charge(old);
-            self.charge(new);
-            let mut from = shards[old].write();
-            let mut to = shards[new].write();
-            if let Some(v) = from.listeners.remove(address) {
-                to.listeners.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.latency_overrides.remove(address) {
-                to.latency_overrides.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.redirects.remove(address) {
-                to.redirects.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.tamper.remove(address) {
-                to.tamper.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.faults.remove(address) {
-                to.faults.insert(address.to_owned(), v);
-            }
-            if let Some(v) = from.route_faults.remove(address) {
-                to.route_faults.insert(address.to_owned(), v);
-            }
-            // Publish the mapping while both locks are held so no
-            // mutation slips into the old slot after the move.
-            self.hot_addrs[count]
-                .set(address.to_owned())
-                .expect("stripe published twice");
-            self.hot_count.store(count + 1, Ordering::Release);
-        }
-        // No republish: the routing view keys purely on the address
-        // hash, so moving the address between *lock* slots changes
-        // nothing a reader can see.
-        Ok(())
+        f(&mut self.shard(address).write())
     }
 
     /// Records an injected fault and returns the observer to notify (the
@@ -834,12 +257,8 @@ impl Fabric {
     }
 }
 
-/// Hands out snapshot reader stripes to [`SimNet`] handles: one fetch
-/// per handle creation instead of a lazily initialised thread-local
-/// lookup on every dial.
-static NEXT_HANDLE_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
 /// The shared network fabric.
+#[derive(Clone)]
 pub struct SimNet {
     clock: SimClock,
     config: NetConfig,
@@ -848,25 +267,6 @@ pub struct SimNet {
     /// [`SimNet::bound_to`]. Only consulted by source-scoped fault
     /// domains (asymmetric links); `None` handles never match them.
     local: Option<String>,
-    /// Snapshot reader stripe this handle (and its connections)
-    /// announces in. Handles are typically cloned per worker thread, so
-    /// round-robin assignment at clone time spreads threads across
-    /// stripes without the hot path touching thread-local storage. Any
-    /// value is correct — stripe counters sum — sharing just bounces a
-    /// cache line.
-    stripe: usize,
-}
-
-impl Clone for SimNet {
-    fn clone(&self) -> Self {
-        SimNet {
-            clock: self.clock.clone(),
-            config: self.config.clone(),
-            fabric: Arc::clone(&self.fabric),
-            local: self.local.clone(),
-            stripe: NEXT_HANDLE_STRIPE.fetch_add(1, Ordering::Relaxed),
-        }
-    }
 }
 
 impl std::fmt::Debug for SimNet {
@@ -881,13 +281,11 @@ impl SimNet {
     /// Creates a network fabric on `clock`.
     #[must_use]
     pub fn new(clock: SimClock, config: NetConfig) -> Self {
-        let fabric = Arc::new(Fabric::new(config.shards, config.read_path));
         SimNet {
             clock,
             config,
-            fabric,
+            fabric: Arc::new(Fabric::new()),
             local: None,
-            stripe: NEXT_HANDLE_STRIPE.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -933,9 +331,7 @@ impl SimNet {
             }
             state.listeners.insert(address.to_owned(), listener);
             Ok(())
-        })?;
-        self.fabric.republish_address(address);
-        Ok(())
+        })
     }
 
     /// Removes the listener at `address` (service shutdown).
@@ -943,57 +339,13 @@ impl SimNet {
         self.fabric.write(address, |state| {
             state.listeners.remove(address);
         });
-        self.fabric.republish_address(address);
     }
 
-    /// Reserves a dedicated lock stripe for a known-hot address (the AMD
-    /// KDS, a boundary node): its fault-entry updates stop serializing
-    /// the write path of every cold address hashing into the same shard.
-    ///
-    /// Call **before** traffic flows to the address — registration moves
-    /// the address's state between lock slots, and a dial racing the
-    /// move may transiently miss it. At most [`HOT_STRIPES`] addresses
-    /// can be striped. Striping never affects fault-stream determinism:
-    /// streams are keyed by address, not by slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HotStripesExhausted`] when all stripes are
-    /// taken; the address keeps its hashed placement (correct, just not
-    /// isolated) and [`SimNet::hot_stripe_overflows`] counts the miss.
-    /// Registrations on the single-lock fabric and re-registrations of
-    /// an already-striped address succeed as no-ops.
-    pub fn stripe_hot(&self, address: &str) -> Result<(), NetError> {
-        self.fabric.stripe_hot(address)
-    }
-
-    /// Hot-stripe registrations refused because all [`HOT_STRIPES`]
-    /// stripes were already taken.
-    #[must_use]
-    pub fn hot_stripe_overflows(&self) -> u64 {
-        self.fabric.hot_overflows.load(Ordering::Relaxed)
-    }
-
-    /// Runs `f` with every shaper/bind republish deferred, then publishes
-    /// them as **one** routing-view update — the write-side fast path for
-    /// bursts like fleet provisioning, where per-mutation republishes
-    /// would each copy interior tree nodes for no reader to see.
-    ///
-    /// Scopes nest; the outermost scope flushes. While a batch is open
-    /// anywhere on the fabric, dials and exchanges detour to the locked
-    /// read path, so the batching thread still observes its own
-    /// mutations in program order (and concurrent readers stay
-    /// correct — merely slower until the flush). The flush runs even if
-    /// `f` panics.
+    /// Runs `f` on this fabric. A grouping helper for bursts of
+    /// mutations such as fleet provisioning: every mutation is applied
+    /// to the shard maps as it is made, so there is nothing to defer and
+    /// `f` sees its own writes in program order.
     pub fn batch<R>(&self, f: impl FnOnce(&SimNet) -> R) -> R {
-        struct Guard<'a>(&'a Fabric);
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                self.0.end_batch();
-            }
-        }
-        self.fabric.begin_batch();
-        let _guard = Guard(&self.fabric);
         f(self)
     }
 
@@ -1023,27 +375,24 @@ impl SimNet {
     /// address + route prefix), so dial order across addresses cannot
     /// perturb another stream. Call before installing plans;
     /// already-installed plans are reseeded (and their fail-first windows
-    /// reset). No snapshot republish is needed: plan *presence* — all
-    /// the view carries — is unchanged.
+    /// reset).
     pub fn set_fault_seed(&self, seed: u64) {
         self.fabric.fault_seed.store(seed, Ordering::Relaxed);
-        // Entries are shared with the published view, so reseeding them
-        // in place (through their own locks) is immediately visible to
-        // both read paths.
-        self.fabric.for_each_shard(|state| {
-            for (address, entry) in &mut state.faults {
+        for shard in &self.fabric.shards {
+            let state = shard.write();
+            for (address, entry) in &state.faults {
                 let mut entry = entry.lock();
                 let plan = entry.plan.clone();
                 *entry = FaultEntry::new(plan, seed, address);
             }
-            for (address, routes) in &mut state.route_faults {
-                for (prefix, entry) in routes.iter_mut() {
+            for (address, routes) in &state.route_faults {
+                for (prefix, entry) in routes {
                     let mut entry = entry.lock();
                     let plan = entry.plan.clone();
                     *entry = FaultEntry::new(plan, seed, &route_stream_key(address, prefix));
                 }
             }
-        });
+        }
         // Degraded-domain streams re-derive lazily from the new seed.
         for state in self.fabric.domains.write().iter_mut() {
             state.entries.clear();
@@ -1057,21 +406,18 @@ impl SimNet {
     /// a [`DomainEffect::Degraded`] domain draws per-exchange decisions
     /// from a `(domain, destination)`-keyed stream. See [`FaultDomain`].
     pub fn install_fault_domain(&self, domain: FaultDomain) {
+        let mut domains = self.fabric.domains.write();
+        let state = DomainState {
+            domain,
+            entries: HashMap::new(),
+        };
+        match domains
+            .iter_mut()
+            .find(|s| s.domain.name == state.domain.name)
         {
-            let mut domains = self.fabric.domains.write();
-            let state = DomainState {
-                domain,
-                entries: HashMap::new(),
-            };
-            match domains
-                .iter_mut()
-                .find(|s| s.domain.name == state.domain.name)
-            {
-                Some(slot) => *slot = state,
-                None => domains.push(state),
-            }
+            Some(slot) => *slot = state,
+            None => domains.push(state),
         }
-        self.fabric.republish_domains();
     }
 
     /// Snapshot of every installed fault domain, in installation order.
@@ -1094,13 +440,11 @@ impl SimNet {
             .domains
             .write()
             .retain(|state| state.domain.name != name);
-        self.fabric.republish_domains();
     }
 
     /// Removes every installed fault domain.
     pub fn clear_fault_domains(&self) {
         self.fabric.domains.write().clear();
-        self.fabric.republish_domains();
     }
 
     /// Installs an observer invoked on every injected fault (outside the
@@ -1115,101 +459,18 @@ impl SimNet {
         self.fabric.faults_injected.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of lock acquisitions per slot since the fabric was built.
-    ///
-    /// Benchmarks use the delta between two snapshots to model how much of
-    /// a workload a single lock would serialize versus what the sharded
-    /// topology spreads out; see `revelio-bench`'s fabric fleet benchmark.
-    /// Under [`ReadPath::Snapshot`] clean traffic acquires nothing, so
-    /// the model is meaningful only for the locked topologies.
-    #[must_use]
-    pub fn shard_load(&self) -> ShardLoad {
-        self.fabric.shard_load()
-    }
-
-    /// Cumulative spin/yield iterations snapshot writers spent waiting
-    /// for reader stripes to drain while retiring old routing views (the
-    /// `revelio_net_snapshot_retire_spins` counter) — writer-stall time,
-    /// reported honestly by the fleet benchmark. Always `0` in
-    /// [`ReadPath::Locked`] mode.
-    #[must_use]
-    pub fn snapshot_retire_spins(&self) -> u64 {
-        self.fabric.view.as_ref().map_or(0, Snapshot::retire_spins)
-    }
-
-    /// Deterministic estimate of the routing state's heap footprint in
-    /// bytes (structure sizes and string lengths, never allocator or
-    /// capacity artifacts). In snapshot mode this measures the published
-    /// view tree; in locked mode, the equivalent per-entry cost of the
-    /// shard maps. The fleet benchmark divides it by the node count for
-    /// its memory-per-node column.
-    #[must_use]
-    pub fn routing_memory_bytes(&self) -> usize {
-        if let Some(snap) = &self.fabric.view {
-            return snap.read_at(self.stripe, |view| view.tree.estimated_bytes());
-        }
-        let mut entries = Vec::new();
-        for idx in 0..self.fabric.acquisitions.len() {
-            self.fabric
-                .read_slot(idx, |state| state.collect_views(&mut entries));
-        }
-        entries
-            .iter()
-            .map(|(address, view)| view.estimated_bytes(address))
-            .sum()
-    }
-
-    /// A canonical dump of the fabric's routing state: every published
-    /// address sorted, with its listener/latency/redirect/tamper
-    /// presence and the full parameters of every installed plan, plus a
-    /// planned-count/domain footer. Byte-identical across fabric modes,
-    /// shard counts, and (after the flush) batched vs unbatched
-    /// mutation orders — the write-burst suites diff it to prove the
-    /// view converged. Do not call inside an open [`SimNet::batch`]
-    /// scope: the snapshot is stale until the flush.
+    /// A canonical dump of the fabric's routing state, read straight
+    /// from the shard maps: every known address sorted, with its
+    /// listener/latency/redirect/tamper presence and the full parameters
+    /// of every installed plan, plus a planned-count/domain footer.
+    /// Independent of thread count and mutation interleaving for the
+    /// same final state — the write-burst suite diffs it across thread
+    /// counts.
     #[must_use]
     pub fn view_fingerprint(&self) -> String {
-        fn describe(view: &PeerView) -> String {
-            let mut line = String::new();
-            let _ = write!(
-                line,
-                "listener:{} latency:{:?} redirect:{:?} tamper:{}",
-                u8::from(view.listener.is_some()),
-                view.latency_us,
-                view.redirect(),
-                u8::from(view.tamper().is_some()),
-            );
-            if let Some(entry) = view.fault() {
-                let _ = write!(line, " plan:[{}]", entry.lock().plan.fingerprint());
-            }
-            if let Some(routes) = view.routes() {
-                let mut routes: Vec<(String, String)> = routes
-                    .iter()
-                    .map(|(prefix, entry)| (prefix.clone(), entry.lock().plan.fingerprint()))
-                    .collect();
-                routes.sort();
-                for (prefix, plan) in routes {
-                    let _ = write!(line, " route:{prefix}:[{plan}]");
-                }
-            }
-            line
-        }
         let mut entries: Vec<(String, String, bool)> = Vec::new();
-        if let Some(snap) = &self.fabric.view {
-            let view = snap.load_at(self.stripe);
-            view.tree.for_each(|address, peer| {
-                entries.push((address.to_owned(), describe(peer), peer.planned()));
-            });
-            debug_assert_eq!(entries.len(), view.tree.len(), "tree len out of sync");
-        } else {
-            let mut collected = Vec::new();
-            for idx in 0..self.fabric.acquisitions.len() {
-                self.fabric
-                    .read_slot(idx, |state| state.collect_views(&mut collected));
-            }
-            for (address, peer) in &collected {
-                entries.push((address.clone(), describe(peer), peer.planned()));
-            }
+        for shard in &self.fabric.shards {
+            shard.read().describe_into(&mut entries);
         }
         entries.sort();
         let planned = entries.iter().filter(|(_, _, planned)| *planned).count();
@@ -1228,137 +489,20 @@ impl SimNet {
 
     /// Opens a connection to `address`.
     ///
-    /// On the snapshot read path a clean dial — no installed fault plan,
-    /// no fault domain anywhere — resolves entirely from the immutable
-    /// routing view: one atomic load, no locks. Anything else falls back
-    /// to the locked path below.
-    ///
     /// # Errors
     ///
     /// Returns [`NetError::ConnectionRefused`] when nothing listens there —
     /// which is exactly what connecting to a Revelio VM's SSH port yields —
     /// or [`NetError::Timeout`] when the address's fault plan is inside a
-    /// fail-first window.
+    /// fail-first window or an active partition domain covers it.
     pub fn dial(&self, address: &str) -> Result<Connection, NetError> {
-        // While a batch is open the view may be stale: the locked path
-        // (reading the authoritative shard maps) keeps program order.
-        if let Some(snap) = &self.fabric.view {
-            if self.fabric.batch_depth.load(Ordering::Relaxed) == 0 {
-                // Clean-path resolution happens under a guard-style read
-                // (no Arc round-trip); `accept()` and fault bookkeeping
-                // run after the guard is gone, so user code (handlers,
-                // fault observers) can never stall — or, by
-                // republishing, deadlock — a view writer.
-                enum Fast {
-                    Clean(CleanRoute, Option<u64>),
-                    /// A fail-first window fired; charge this timeout.
-                    Faulted(u64),
-                    Fallback,
-                }
-                let fast = snap.read_at(self.stripe, |view| {
-                    if view.has_domains {
-                        return Fast::Fallback;
-                    }
-                    match view.peer(address) {
-                        Some(peer) => {
-                            if let Some(entry) = peer.fault() {
-                                // The view publishes the live entry: the
-                                // fail-first window is consumed through
-                                // its own (leaf) lock — no shard locks.
-                                let mut entry = entry.lock();
-                                if entry.dial_fails() {
-                                    return Fast::Faulted(entry.plan.timeout_us);
-                                }
-                            }
-                            // Exchange-clean (no plan of either kind):
-                            // stamp the view generation so exchanges
-                            // revalidate the verdict with one atomic
-                            // load.
-                            let clean_gen = (!peer.planned()).then_some(view.generation);
-                            Fast::Clean(Self::resolve_clean(view, address, peer), clean_gen)
-                        }
-                        // Nothing at all is known about the address: no
-                        // listener, no redirect, no plan — refused,
-                        // lock-free.
-                        None => Fast::Clean(None, None),
-                    }
-                });
-                match fast {
-                    Fast::Clean(Some((listener, latency, tamper)), clean_gen) => {
-                        return Ok(Connection {
-                            clock: self.clock.clone(),
-                            handler: listener.accept(),
-                            one_way_us: latency.unwrap_or(self.config.default_one_way_us),
-                            tamper,
-                            dialed: address.to_owned(),
-                            local: self.local.clone(),
-                            closed: false,
-                            timeout_us: FaultPlan::default().timeout_us,
-                            clean_gen,
-                            stripe: self.stripe,
-                            fabric: Arc::clone(&self.fabric),
-                        });
-                    }
-                    Fast::Clean(None, _) => {
-                        return Err(NetError::ConnectionRefused(address.to_owned()));
-                    }
-                    Fast::Faulted(timeout_us) => {
-                        let observer = self.fabric.record_fault();
-                        self.clock.advance_us(timeout_us);
-                        if let Some(obs) = observer {
-                            obs(address, FaultKind::Timeout);
-                        }
-                        return Err(NetError::Timeout(address.to_owned()));
-                    }
-                    Fast::Fallback => {}
-                }
-            }
-        }
-        self.dial_locked(address)
-    }
-
-    /// Resolves a clean dial's listener, latency override, and tamper
-    /// hook from the routing view. `peer` is `address`'s view entry;
-    /// `None` means nothing listens at the effective address.
-    fn resolve_clean(view: &RoutingView, address: &str, peer: &PeerView) -> CleanRoute {
-        // The dialed address wins for latency and tamper lookups: an
-        // override installed on the victim keeps applying after a
-        // redirect, falling back to the attacker's setting only when the
-        // victim has none.
-        let (listener, fallback_latency, fallback_tamper) = match peer.redirect() {
-            Some(effective) if effective != address => match view.peer(effective) {
-                Some(target) => (
-                    target.listener.clone(),
-                    target.latency_us,
-                    target.tamper().cloned(),
-                ),
-                None => (None, None, None),
-            },
-            _ => (peer.listener.clone(), None, None),
-        };
-        Some((
-            listener?,
-            peer.latency_us.or(fallback_latency),
-            peer.tamper().cloned().or(fallback_tamper),
-        ))
-    }
-
-    /// The locked dial path: authoritative for fail-first windows and
-    /// whenever fault domains are installed; the only path in
-    /// [`ReadPath::Locked`] mode.
-    fn dial_locked(&self, address: &str) -> Result<Connection, NetError> {
         // An active partition domain is the lowest network layer: the
         // dial times out before any per-address plan or listener lookup.
         if let Some(timeout_us) =
             self.fabric
                 .domain_dial_fault(self.clock.now_us(), self.local.as_deref(), address)
         {
-            let observer = self.fabric.record_fault();
-            self.clock.advance_us(timeout_us);
-            if let Some(obs) = observer {
-                obs(address, FaultKind::Timeout);
-            }
-            return Err(NetError::Timeout(address.to_owned()));
+            return Err(self.dial_timeout(address, timeout_us));
         }
         // One read lock resolves everything about the dialed address;
         // the fail-first draw (when a fault plan is installed) goes
@@ -1382,12 +526,7 @@ impl SimNet {
                 entry.dial_fails().then_some(entry.plan.timeout_us)
             };
             if let Some(timeout_us) = timed_out {
-                let observer = self.fabric.record_fault();
-                self.clock.advance_us(timeout_us);
-                if let Some(obs) = observer {
-                    obs(address, FaultKind::Timeout);
-                }
-                return Err(NetError::Timeout(address.to_owned()));
+                return Err(self.dial_timeout(address, timeout_us));
             }
         }
         // The dialed address wins for latency and tamper lookups: an
@@ -1408,28 +547,34 @@ impl SimNet {
         let one_way_us = victim_latency
             .or(fallback_latency)
             .unwrap_or(self.config.default_one_way_us);
-        let tamper = victim_tamper.or(fallback_tamper);
         Ok(Connection {
             clock: self.clock.clone(),
             handler: listener.accept(),
             one_way_us,
-            tamper,
+            tamper: victim_tamper.or(fallback_tamper),
             dialed: address.to_owned(),
             local: self.local.clone(),
             closed: false,
             timeout_us: FaultPlan::default().timeout_us,
-            // Locked dials never stamp a clean verdict: the first
-            // exchange consults the view (or, in locked mode, the locks).
-            clean_gen: None,
-            stripe: self.stripe,
             fabric: Arc::clone(&self.fabric),
         })
+    }
+
+    /// Charges a failed dial's discovery timeout, records the fault, and
+    /// notifies the observer (outside every fabric lock).
+    fn dial_timeout(&self, address: &str, timeout_us: u64) -> NetError {
+        let observer = self.fabric.record_fault();
+        self.clock.advance_us(timeout_us);
+        if let Some(obs) = observer {
+            obs(address, FaultKind::Timeout);
+        }
+        NetError::Timeout(address.to_owned())
     }
 }
 
 /// A traffic-shaping handle for one peer address, returned by
-/// [`SimNet::peer`]. Every call applies immediately (and republishes the
-/// routing snapshot) and returns the handle, so settings chain fluently.
+/// [`SimNet::peer`]. Every call applies immediately and returns the
+/// handle, so settings chain fluently.
 pub struct PeerShaper<'a> {
     net: &'a SimNet,
     address: String,
@@ -1444,51 +589,51 @@ impl std::fmt::Debug for PeerShaper<'_> {
 }
 
 impl PeerShaper<'_> {
-    fn fabric(&self) -> &Fabric {
-        &self.net.fabric
+    /// Applies `f` to this address's shard under its write lock.
+    fn edit(self, f: impl FnOnce(&mut ShardState, &str)) -> Self {
+        self.net
+            .fabric
+            .write(&self.address, |state| f(state, &self.address));
+        self
+    }
+
+    fn fault_seed(&self) -> u64 {
+        self.net.fabric.fault_seed.load(Ordering::Relaxed)
     }
 
     /// Sets the one-way latency for dials *to* this address, in
     /// microseconds — e.g. a distant AMD KDS.
     pub fn latency_us(self, one_way_us: u64) -> Self {
-        self.fabric().write(&self.address, |state| {
+        self.edit(|state, address| {
             state
                 .latency_overrides
-                .insert(self.address.clone(), one_way_us);
-        });
-        self.fabric().republish_address(&self.address);
-        self
+                .insert(address.to_owned(), one_way_us);
+        })
     }
 
     /// ATTACK: installs a message-tampering hook on dials to this address.
     pub fn tamper(self, tamper: Arc<TamperFn>) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.tamper.insert(self.address.clone(), tamper);
-        });
-        self.fabric().republish_address(&self.address);
-        self
+        self.edit(|state, address| {
+            state.tamper.insert(address.to_owned(), tamper);
+        })
     }
 
     /// ATTACK: silently rewires future dials of this address to
     /// `attacker` (BGP hijack / hostile middlebox). TLS endpoint checks
     /// must catch it.
     pub fn redirect_to(self, attacker: &str) -> Self {
-        self.fabric().write(&self.address, |state| {
+        self.edit(|state, address| {
             state
                 .redirects
-                .insert(self.address.clone(), attacker.to_owned());
-        });
-        self.fabric().republish_address(&self.address);
-        self
+                .insert(address.to_owned(), attacker.to_owned());
+        })
     }
 
     /// Removes a redirect.
     pub fn clear_redirect(self) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.redirects.remove(&self.address);
-        });
-        self.fabric().republish_address(&self.address);
-        self
+        self.edit(|state, address| {
+            state.redirects.remove(address);
+        })
     }
 
     /// Installs (or replaces) the address-wide fault plan for dials *to*
@@ -1496,13 +641,11 @@ impl PeerShaper<'_> {
     /// redirect the victim's plan applies, matching the latency/tamper
     /// precedence.
     pub fn fault_plan(self, plan: FaultPlan) -> Self {
-        let seed = self.fabric().fault_seed.load(Ordering::Relaxed);
-        self.fabric().write(&self.address, |state| {
-            let entry = Arc::new(Mutex::new(FaultEntry::new(plan, seed, &self.address)));
-            state.faults.insert(self.address.clone(), entry);
-        });
-        self.fabric().republish_address(&self.address);
-        self
+        let seed = self.fault_seed();
+        self.edit(|state, address| {
+            let entry = Arc::new(Mutex::new(FaultEntry::new(plan, seed, address)));
+            state.faults.insert(address.to_owned(), entry);
+        })
     }
 
     /// Installs (or replaces) a fault plan for exchanges on this address
@@ -1513,46 +656,40 @@ impl PeerShaper<'_> {
     /// dial itself is only governed by the address-wide plan's fail-first
     /// window, since no route exists before the first exchange.
     pub fn fault_plan_for_route(self, prefix: &str, plan: FaultPlan) -> Self {
-        let seed = self.fabric().fault_seed.load(Ordering::Relaxed);
-        self.fabric().write(&self.address, |state| {
+        let seed = self.fault_seed();
+        self.edit(|state, address| {
             let entry = Arc::new(Mutex::new(FaultEntry::new(
                 plan,
                 seed,
-                &route_stream_key(&self.address, prefix),
+                &route_stream_key(address, prefix),
             )));
-            let routes = state.route_faults.entry(self.address.clone()).or_default();
+            let routes = state.route_faults.entry(address.to_owned()).or_default();
             match routes.iter_mut().find(|(p, _)| p == prefix) {
                 Some(slot) => slot.1 = entry,
                 None => routes.push((prefix.to_owned(), entry)),
             }
-        });
-        self.fabric().republish_address(&self.address);
-        self
+        })
     }
 
     /// Removes every fault plan for this address — address-wide and
     /// per-route — the "faults clear" moment.
     pub fn clear_fault_plan(self) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.faults.remove(&self.address);
-            state.route_faults.remove(&self.address);
-        });
-        self.fabric().republish_address(&self.address);
-        self
+        self.edit(|state, address| {
+            state.faults.remove(address);
+            state.route_faults.remove(address);
+        })
     }
 
     /// Clears *all* shaping for this address: latency override, tamper
     /// hook, redirect, and every fault plan.
     pub fn clear(self) -> Self {
-        self.fabric().write(&self.address, |state| {
-            state.latency_overrides.remove(&self.address);
-            state.tamper.remove(&self.address);
-            state.redirects.remove(&self.address);
-            state.faults.remove(&self.address);
-            state.route_faults.remove(&self.address);
-        });
-        self.fabric().republish_address(&self.address);
-        self
+        self.edit(|state, address| {
+            state.latency_overrides.remove(address);
+            state.tamper.remove(address);
+            state.redirects.remove(address);
+            state.faults.remove(address);
+            state.route_faults.remove(address);
+        })
     }
 }
 
@@ -1569,15 +706,6 @@ pub struct Connection {
     /// Timeout window charged for drops/timeouts; refreshed from the
     /// governing fault plan on each exchange.
     timeout_us: u64,
-    /// `Some(g)` when the routing view at generation `g` judged this
-    /// address exchange-clean (no plan of either kind on it, no domain
-    /// anywhere). While [`Fabric::view_gen`] still reads `g`, the live
-    /// view is that very one, so each exchange's fault check is a single
-    /// atomic load. Any republish invalidates the stamp; the next
-    /// exchange re-checks against the current view and re-stamps.
-    clean_gen: Option<u64>,
-    /// Snapshot reader stripe, inherited from the dialing handle.
-    stripe: usize,
     fabric: Arc<Fabric>,
 }
 
@@ -1643,104 +771,13 @@ impl Connection {
         result
     }
 
-    /// Consults the governing fault plan for this exchange — the longest
-    /// matching route plan, else the address-wide plan — returning the
-    /// one-way jitter and the fault to surface, if any. Faults fire
-    /// **before** delivery: the handler never runs, so server-side state
-    /// is untouched and a retry is always safe.
-    ///
-    /// On the snapshot read path the overwhelmingly common clean case —
-    /// no domains installed, no plan on this address — is answered from
-    /// the routing view without touching a single lock. A *planned*
-    /// address is almost as cheap: the view publishes the live fault
-    /// entries, so the draw locks only the entry's own mutex. Only
-    /// fault domains (and open batch scopes) fall back to the locked
-    /// path.
+    /// Consults the governing fault plan for this exchange — an active
+    /// fault domain first, then the longest matching route plan, else the
+    /// address-wide plan — returning the one-way jitter and the fault to
+    /// surface, if any. Faults fire **before** delivery: the handler
+    /// never runs, so server-side state is untouched and a retry is
+    /// always safe.
     fn fault_decision(&mut self, route: &str) -> (u64, Option<NetError>) {
-        if let Some(snap) = &self.fabric.view {
-            // Dial-time (or prior-exchange) clean verdict still valid?
-            // One atomic load answers the common case.
-            if let Some(gen) = self.clean_gen {
-                if self.fabric.view_gen.load(Ordering::SeqCst) == gen {
-                    return (0, None);
-                }
-            }
-            if self.fabric.batch_depth.load(Ordering::Relaxed) == 0 {
-                enum Verdict {
-                    /// No plan anywhere near this address: stamp this
-                    /// generation and skip future checks while it lives.
-                    Clean(u64),
-                    /// Route plans exist but none match this route and
-                    /// there is no address-wide fallback: clean, but not
-                    /// stampable (another route could match).
-                    NoDraw,
-                    /// This entry governs the exchange.
-                    Draw(SharedFaultEntry),
-                    /// Domains installed: the locked path arbitrates.
-                    Fallback,
-                }
-                let verdict = snap.read_at(self.stripe, |view| {
-                    if view.has_domains {
-                        return Verdict::Fallback;
-                    }
-                    if view.all_clean {
-                        return Verdict::Clean(view.generation);
-                    }
-                    let Some(peer) = view.peer(&self.dialed) else {
-                        return Verdict::Clean(view.generation);
-                    };
-                    if !peer.planned() {
-                        return Verdict::Clean(view.generation);
-                    }
-                    let route_entry = peer.routes().and_then(|routes| {
-                        routes
-                            .iter()
-                            .filter(|(prefix, _)| route.starts_with(prefix.as_str()))
-                            .max_by_key(|(prefix, _)| prefix.len())
-                            .map(|(_, entry)| Arc::clone(entry))
-                    });
-                    match route_entry.or_else(|| peer.fault().cloned()) {
-                        Some(entry) => Verdict::Draw(entry),
-                        None => Verdict::NoDraw,
-                    }
-                });
-                match verdict {
-                    Verdict::Clean(gen) => {
-                        self.clean_gen = Some(gen);
-                        return (0, None);
-                    }
-                    Verdict::NoDraw => {
-                        self.clean_gen = None;
-                        return (0, None);
-                    }
-                    Verdict::Draw(entry) => {
-                        self.clean_gen = None;
-                        // The draw happens outside the read guard (the
-                        // entry Arc keeps it alive) so the observer below
-                        // can never stall a view writer.
-                        let ((jitter_us, fault), timeout_us) = {
-                            let mut entry = entry.lock();
-                            (entry.exchange_decision(), entry.plan.timeout_us)
-                        };
-                        self.timeout_us = timeout_us;
-                        let Some(kind) = fault else {
-                            return (jitter_us, None);
-                        };
-                        if let Some(obs) = self.fabric.record_fault() {
-                            obs(&self.dialed, kind);
-                        }
-                        return (jitter_us, Some(self.fault_error(kind)));
-                    }
-                    Verdict::Fallback => {}
-                }
-            }
-        }
-        self.fault_decision_locked(route)
-    }
-
-    /// The locked decision path: consulted whenever a domain or plan
-    /// might govern this exchange (always, in [`ReadPath::Locked`] mode).
-    fn fault_decision_locked(&mut self, route: &str) -> (u64, Option<NetError>) {
         // Correlated-failure domains are consulted first — they model the
         // layer below per-address shaping. A domain that injects nothing
         // still contributes its jitter; the plans then get their say.
@@ -1752,18 +789,13 @@ impl Connection {
         ) {
             self.timeout_us = timeout_us;
             if let Some(kind) = fault {
-                // The observer runs outside every fabric lock.
-                if let Some(obs) = self.fabric.record_fault() {
-                    obs(&self.dialed, kind);
-                }
-                return (jitter_us, Some(self.fault_error(kind)));
+                return (jitter_us, Some(self.injected(kind)));
             }
             domain_jitter_us = jitter_us;
         }
         // One read lock picks the governing entry (longest matching
         // route prefix, else the address-wide plan); the draw itself
-        // goes through the shared entry's own lock, so even the locked
-        // path never takes a shard write lock per draw.
+        // goes through the shared entry's own lock.
         let governing = self.fabric.read(&self.dialed, |state| {
             if let Some(routes) = state.route_faults.get(&self.dialed) {
                 let best = routes
@@ -1785,18 +817,18 @@ impl Connection {
         };
         let jitter_us = domain_jitter_us.saturating_add(jitter_us);
         self.timeout_us = timeout_us;
-        let Some(kind) = fault else {
-            return (jitter_us, None);
-        };
-        // The observer runs outside every fabric lock.
+        match fault {
+            Some(kind) => (jitter_us, Some(self.injected(kind))),
+            None => (jitter_us, None),
+        }
+    }
+
+    /// Records an injected fault, notifies the observer (outside every
+    /// fabric lock), and returns the [`NetError`] the client observes.
+    fn injected(&self, kind: FaultKind) -> NetError {
         if let Some(obs) = self.fabric.record_fault() {
             obs(&self.dialed, kind);
         }
-        (jitter_us, Some(self.fault_error(kind)))
-    }
-
-    /// The [`NetError`] a client observes for an injected fault kind.
-    fn fault_error(&self, kind: FaultKind) -> NetError {
         match kind {
             FaultKind::Dropped => NetError::Dropped(self.dialed.clone()),
             FaultKind::Timeout => NetError::Timeout(self.dialed.clone()),
@@ -1847,86 +879,66 @@ mod tests {
     }
 
     fn fabric() -> (SimClock, SimNet) {
-        fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot)
-    }
-
-    fn fabric_with(shards: usize, read_path: ReadPath) -> (SimClock, SimNet) {
         let clock = SimClock::new();
         let net = SimNet::new(
             clock.clone(),
             NetConfig {
                 default_one_way_us: 1000,
-                shards,
-                read_path,
             },
         );
         (clock, net)
     }
 
-    /// Every per-mode behaviour test runs under all three fabric modes.
-    fn all_modes() -> Vec<(SimClock, SimNet)> {
-        vec![
-            fabric_with(1, ReadPath::Locked),
-            fabric_with(DEFAULT_SHARDS, ReadPath::Locked),
-            fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot),
-        ]
-    }
-
     #[test]
     fn exchange_advances_clock_by_round_trip() {
-        for (clock, net) in all_modes() {
-            net.bind("a:1", Arc::new(Echo)).unwrap();
-            let mut conn = net.dial("a:1").unwrap();
-            conn.exchange(b"x").unwrap();
-            assert_eq!(clock.now_us(), 2000);
-            conn.exchange(b"x").unwrap();
-            assert_eq!(clock.now_us(), 4000);
-        }
+        let (clock, net) = fabric();
+        net.bind("a:1", Arc::new(Echo)).unwrap();
+        let mut conn = net.dial("a:1").unwrap();
+        conn.exchange(b"x").unwrap();
+        assert_eq!(clock.now_us(), 2000);
+        conn.exchange(b"x").unwrap();
+        assert_eq!(clock.now_us(), 4000);
     }
 
     #[test]
     fn unbound_port_refuses() {
-        for (_, net) in all_modes() {
-            assert_eq!(
-                net.dial("vm:22").unwrap_err(),
-                NetError::ConnectionRefused("vm:22".into())
-            );
-        }
+        let (_, net) = fabric();
+        assert_eq!(
+            net.dial("vm:22").unwrap_err(),
+            NetError::ConnectionRefused("vm:22".into())
+        );
     }
 
     #[test]
     fn double_bind_rejected_and_unbind_frees() {
-        for (_, net) in all_modes() {
-            net.bind("a:1", Arc::new(Echo)).unwrap();
-            assert!(net.bind("a:1", Arc::new(Echo)).is_err());
-            net.unbind("a:1");
-            net.bind("a:1", Arc::new(Echo)).unwrap();
-        }
+        let (_, net) = fabric();
+        net.bind("a:1", Arc::new(Echo)).unwrap();
+        assert!(net.bind("a:1", Arc::new(Echo)).is_err());
+        net.unbind("a:1");
+        net.bind("a:1", Arc::new(Echo)).unwrap();
     }
 
     #[test]
     fn per_address_latency_override() {
-        for (clock, net) in all_modes() {
-            net.bind("kds:443", Arc::new(Echo)).unwrap();
-            net.peer("kds:443").latency_us(100_000); // a distant service
-            let mut conn = net.dial("kds:443").unwrap();
-            conn.exchange(b"q").unwrap();
-            assert_eq!(clock.now_us(), 200_000);
-        }
+        let (clock, net) = fabric();
+        net.bind("kds:443", Arc::new(Echo)).unwrap();
+        net.peer("kds:443").latency_us(100_000); // a distant service
+        let mut conn = net.dial("kds:443").unwrap();
+        conn.exchange(b"q").unwrap();
+        assert_eq!(clock.now_us(), 200_000);
     }
 
     #[test]
     fn redirect_reroutes_to_attacker() {
-        for (_, net) in all_modes() {
-            net.bind("honest:443", Arc::new(Marker(b"honest"))).unwrap();
-            net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
-            net.peer("honest:443").redirect_to("evil:443");
-            let mut conn = net.dial("honest:443").unwrap();
-            assert_eq!(conn.exchange(b"hello").unwrap(), b"evil");
-            net.peer("honest:443").clear_redirect();
-            let mut conn = net.dial("honest:443").unwrap();
-            assert_eq!(conn.exchange(b"hello").unwrap(), b"honest");
-        }
+        let (_, net) = fabric();
+        net.bind("honest:443", Arc::new(Marker(b"honest"))).unwrap();
+        net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
+        net.peer("honest:443").redirect_to("evil:443");
+        let mut conn = net.dial("honest:443").unwrap();
+        assert_eq!(conn.exchange(b"hello").unwrap(), b"evil");
+        net.peer("honest:443").clear_redirect();
+        let mut conn = net.dial("honest:443").unwrap();
+        assert_eq!(conn.exchange(b"hello").unwrap(), b"honest");
     }
 
     #[test]
@@ -1934,53 +946,50 @@ mod tests {
         // Settings installed on the dialed (victim) address must keep
         // applying after a redirect; the attacker's address only fills
         // gaps the victim left.
-        for (clock, net) in all_modes() {
-            net.bind("honest:443", Arc::new(Marker(b"honest"))).unwrap();
-            net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
-            net.peer("honest:443")
-                .latency_us(50_000)
-                .tamper(Arc::new(|m: &[u8]| {
-                    let mut v = m.to_vec();
-                    v.push(b'!');
-                    v
-                }))
-                .redirect_to("evil:443");
-            net.peer("evil:443").latency_us(7);
-            let start = clock.now_us();
-            let mut conn = net.dial("honest:443").unwrap();
-            assert_eq!(conn.exchange(b"hello").unwrap(), b"evil");
-            // The victim's 50 ms one-way override wins over the attacker's.
-            assert_eq!(clock.now_us() - start, 100_000);
-        }
+        let (clock, net) = fabric();
+        net.bind("honest:443", Arc::new(Marker(b"honest"))).unwrap();
+        net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
+        net.peer("honest:443")
+            .latency_us(50_000)
+            .tamper(Arc::new(|m: &[u8]| {
+                let mut v = m.to_vec();
+                v.push(b'!');
+                v
+            }))
+            .redirect_to("evil:443");
+        net.peer("evil:443").latency_us(7);
+        let start = clock.now_us();
+        let mut conn = net.dial("honest:443").unwrap();
+        assert_eq!(conn.exchange(b"hello").unwrap(), b"evil");
+        // The victim's 50 ms one-way override wins over the attacker's.
+        assert_eq!(clock.now_us() - start, 100_000);
     }
 
     #[test]
     fn attacker_settings_apply_when_victim_has_none() {
-        for (clock, net) in all_modes() {
-            net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
-            net.peer("evil:443").latency_us(9_000);
-            net.peer("honest:443").redirect_to("evil:443");
-            let start = clock.now_us();
-            let mut conn = net.dial("honest:443").unwrap();
-            conn.exchange(b"hello").unwrap();
-            assert_eq!(clock.now_us() - start, 18_000);
-        }
+        let (clock, net) = fabric();
+        net.bind("evil:443", Arc::new(Marker(b"evil"))).unwrap();
+        net.peer("evil:443").latency_us(9_000);
+        net.peer("honest:443").redirect_to("evil:443");
+        let start = clock.now_us();
+        let mut conn = net.dial("honest:443").unwrap();
+        conn.exchange(b"hello").unwrap();
+        assert_eq!(clock.now_us() - start, 18_000);
     }
 
     #[test]
     fn tamper_rewrites_messages() {
-        for (_, net) in all_modes() {
-            net.bind("a:1", Arc::new(Echo)).unwrap();
-            net.peer("a:1").tamper(Arc::new(|m: &[u8]| {
-                let mut v = m.to_vec();
-                if !v.is_empty() {
-                    v[0] ^= 0xff;
-                }
-                v
-            }));
-            let mut conn = net.dial("a:1").unwrap();
-            assert_eq!(conn.exchange(&[1, 2]).unwrap(), vec![0xfe, 2]);
-        }
+        let (_, net) = fabric();
+        net.bind("a:1", Arc::new(Echo)).unwrap();
+        net.peer("a:1").tamper(Arc::new(|m: &[u8]| {
+            let mut v = m.to_vec();
+            if !v.is_empty() {
+                v[0] ^= 0xff;
+            }
+            v
+        }));
+        let mut conn = net.dial("a:1").unwrap();
+        assert_eq!(conn.exchange(&[1, 2]).unwrap(), vec![0xfe, 2]);
     }
 
     #[test]
@@ -2020,50 +1029,48 @@ mod tests {
                 Box::new(H(Arc::clone(&self.0)))
             }
         }
-        for (clock, net) in all_modes() {
-            let delivered = Arc::new(AtomicU32::new(0));
-            net.bind("a:1", Arc::new(Count(Arc::clone(&delivered))))
-                .unwrap();
-            net.set_fault_seed(1);
-            net.peer("a:1").fault_plan(FaultPlan::outage());
-            let start = clock.now_us();
-            let mut conn = net.dial("a:1").unwrap();
-            assert_eq!(conn.exchange(b"x"), Err(NetError::Dropped("a:1".into())));
-            // The handler never ran, and a full timeout window was spent.
-            assert_eq!(delivered.load(Ordering::SeqCst), 0);
-            assert_eq!(clock.now_us() - start, 1_000_000);
-            assert_eq!(net.faults_injected(), 1);
-            // Clearing the plan restores delivery.
-            net.peer("a:1").clear_fault_plan();
-            let mut conn = net.dial("a:1").unwrap();
-            assert!(conn.exchange(b"x").is_ok());
-            assert_eq!(delivered.load(Ordering::SeqCst), 1);
-        }
+        let (clock, net) = fabric();
+        let delivered = Arc::new(AtomicU32::new(0));
+        net.bind("a:1", Arc::new(Count(Arc::clone(&delivered))))
+            .unwrap();
+        net.set_fault_seed(1);
+        net.peer("a:1").fault_plan(FaultPlan::outage());
+        let start = clock.now_us();
+        let mut conn = net.dial("a:1").unwrap();
+        assert_eq!(conn.exchange(b"x"), Err(NetError::Dropped("a:1".into())));
+        // The handler never ran, and a full timeout window was spent.
+        assert_eq!(delivered.load(Ordering::SeqCst), 0);
+        assert_eq!(clock.now_us() - start, 1_000_000);
+        assert_eq!(net.faults_injected(), 1);
+        // Clearing the plan restores delivery.
+        net.peer("a:1").clear_fault_plan();
+        let mut conn = net.dial("a:1").unwrap();
+        assert!(conn.exchange(b"x").is_ok());
+        assert_eq!(delivered.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn fail_first_window_times_out_dials_then_recovers() {
-        for (clock, net) in all_modes() {
-            net.bind("a:1", Arc::new(Echo)).unwrap();
-            net.set_fault_seed(3);
-            net.peer("a:1").fault_plan(FaultPlan {
-                timeout_us: 250_000,
-                ..FaultPlan::fail_first(2)
-            });
-            let start = clock.now_us();
-            assert_eq!(
-                net.dial("a:1").unwrap_err(),
-                NetError::Timeout("a:1".into())
-            );
-            assert_eq!(
-                net.dial("a:1").unwrap_err(),
-                NetError::Timeout("a:1".into())
-            );
-            assert_eq!(clock.now_us() - start, 500_000);
-            let mut conn = net.dial("a:1").unwrap();
-            assert!(conn.exchange(b"x").is_ok());
-            assert_eq!(net.faults_injected(), 2);
-        }
+        let (clock, net) = fabric();
+        net.bind("a:1", Arc::new(Echo)).unwrap();
+        net.set_fault_seed(3);
+        net.peer("a:1").fault_plan(FaultPlan {
+            timeout_us: 250_000,
+            ..FaultPlan::fail_first(2)
+        });
+        let start = clock.now_us();
+        assert_eq!(
+            net.dial("a:1").unwrap_err(),
+            NetError::Timeout("a:1".into())
+        );
+        assert_eq!(
+            net.dial("a:1").unwrap_err(),
+            NetError::Timeout("a:1".into())
+        );
+        assert_eq!(clock.now_us() - start, 500_000);
+        let mut conn = net.dial("a:1").unwrap();
+        assert!(conn.exchange(b"x").is_ok());
+        assert_eq!(net.faults_injected(), 2);
     }
 
     #[test]
@@ -2136,269 +1143,71 @@ mod tests {
     }
 
     #[test]
-    fn fabric_mode_does_not_change_fault_streams() {
-        // The determinism contract survives resharding AND the read-path
-        // choice: streams are keyed by address, not by shard or snapshot
-        // epoch, so 1-, 4- and 64-shard fabrics, the single-lock
-        // baseline, and the snapshot path all produce identical decisions
-        // and identical simulated timings.
-        let run = |shards: usize, read_path: ReadPath| {
-            let (clock, net) = fabric_with(shards, read_path);
-            for i in 0..8 {
-                net.bind(&format!("node-{i}:443"), Arc::new(Echo)).unwrap();
-            }
-            net.set_fault_seed(0xFEED);
-            for i in 0..8 {
-                net.peer(&format!("node-{i}:443")).fault_plan(FaultPlan {
-                    drop_probability: 0.4,
-                    jitter_us: 900,
-                    ..FaultPlan::default()
-                });
-            }
-            let mut outcomes = Vec::new();
-            for round in 0..16 {
-                for i in 0..8 {
-                    let address = format!("node-{}:443", (i + round) % 8);
-                    let mut conn = net.dial(&address).unwrap();
-                    outcomes.push((address, conn.exchange(b"x").is_ok()));
-                }
-            }
-            (outcomes, clock.now_us(), net.faults_injected())
-        };
-        let baseline = run(1, ReadPath::Locked);
-        assert_eq!(baseline, run(4, ReadPath::Locked));
-        assert_eq!(baseline, run(64, ReadPath::Locked));
-        assert_eq!(baseline, run(1, ReadPath::Snapshot));
-        assert_eq!(baseline, run(16, ReadPath::Snapshot));
+    fn batch_preserves_program_order_for_own_dials() {
+        let (clock, net) = fabric();
+        net.set_fault_seed(0xBA7C);
+        let echoed = net.batch(|net| {
+            // A bind is visible to a dial later in the same batch.
+            net.bind("kds:443", Arc::new(Echo)).unwrap();
+            let mut conn = net.dial("kds:443").unwrap();
+            let echoed = conn.exchange(b"ping").unwrap();
+            // A plan installed mid-batch governs the very next exchange.
+            net.peer("kds:443").fault_plan(FaultPlan::outage());
+            let mut conn = net.dial("kds:443").unwrap();
+            assert!(matches!(conn.exchange(b"q"), Err(NetError::Dropped(_))));
+            echoed
+        });
+        assert_eq!(echoed, b"ping");
+        assert_eq!(net.faults_injected(), 1);
+        assert!(clock.now_us() > 0);
     }
 
     #[test]
-    fn hot_striping_changes_no_behaviour() {
-        // A striped address keeps its listener, shaping, and — because
-        // streams are keyed by address, not slot — its exact fault
-        // stream.
-        let run = |stripe: bool| {
-            let (clock, net) = fabric();
-            if stripe {
-                net.stripe_hot("kds:443").unwrap();
-                net.stripe_hot("kds:443").unwrap(); // idempotent
-            }
-            net.bind("kds:443", Arc::new(Echo)).unwrap();
-            net.bind("cold:443", Arc::new(Echo)).unwrap();
-            net.set_fault_seed(0xD1A1);
-            net.peer("kds:443").latency_us(5_000).fault_plan(FaultPlan {
-                drop_probability: 0.4,
+    fn view_fingerprint_lists_every_address_and_plan() {
+        let (_, net) = fabric();
+        net.set_fault_seed(0xF1F1);
+        net.bind("kds:443", Arc::new(Echo)).unwrap();
+        net.bind("vm:8080", Arc::new(Echo)).unwrap();
+        net.peer("kds:443")
+            .latency_us(30_000)
+            .fault_plan(FaultPlan {
+                drop_probability: 0.25,
                 ..FaultPlan::default()
             });
-            let mut out = Vec::new();
-            for _ in 0..24 {
-                let mut conn = net.dial("kds:443").unwrap();
-                out.push(conn.exchange(b"q").is_ok());
-                let mut cold = net.dial("cold:443").unwrap();
-                out.push(cold.exchange(b"q").is_ok());
-            }
-            (out, clock.now_us(), net.faults_injected())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn hot_striping_migrates_existing_state() {
-        // Striping after shaping was installed must carry the state over.
-        let (clock, net) = fabric();
-        net.bind("kds:443", Arc::new(Echo)).unwrap();
-        net.peer("kds:443").latency_us(30_000);
-        net.stripe_hot("kds:443").unwrap();
-        let mut conn = net.dial("kds:443").unwrap();
-        let start = clock.now_us();
-        conn.exchange(b"q").unwrap();
-        assert_eq!(clock.now_us() - start, 60_000);
-        // And the striped slot keeps accepting new shaping/unbinds.
-        net.peer("kds:443").clear();
-        net.unbind("kds:443");
-        assert!(net.dial("kds:443").is_err());
-    }
-
-    #[test]
-    fn stripe_registry_caps_at_hot_stripes() {
-        let (_, net) = fabric();
-        for i in 0..(HOT_STRIPES + 3) {
-            let address = format!("hot-{i}:443");
-            let striped = net.stripe_hot(&address);
-            if i < HOT_STRIPES {
-                striped.unwrap();
-            } else {
-                // Overflowing registrations report the exhaustion instead
-                // of indexing past the registry; the address keeps its
-                // hashed placement.
-                assert!(matches!(striped, Err(NetError::HotStripesExhausted(a)) if a == address));
-            }
-            net.bind(&address, Arc::new(Echo)).unwrap();
-        }
-        assert_eq!(net.hot_stripe_overflows(), 3);
-        // Striped and overflowed addresses all still dial.
-        for i in 0..(HOT_STRIPES + 3) {
-            net.dial(&format!("hot-{i}:443")).unwrap();
-        }
-        // Re-registering an already-striped address is not an overflow.
-        net.stripe_hot("hot-0:443").unwrap();
-        assert_eq!(net.hot_stripe_overflows(), 3);
-    }
-
-    #[test]
-    fn batch_coalesces_mutations_into_one_republish() {
-        let build = |batched: bool| {
-            let (_, net) = fabric();
-            let before = net.fabric.view_gen.load(Ordering::SeqCst);
-            let provision = |net: &SimNet| {
-                for i in 0..50 {
-                    let address = format!("node-{i}:443");
-                    net.bind(&address, Arc::new(Echo)).unwrap();
-                    net.peer(&address).latency_us(1_000 + i);
-                }
-            };
-            if batched {
-                net.batch(|net| provision(net));
-            } else {
-                provision(&net);
-            }
-            let republishes = net.fabric.view_gen.load(Ordering::SeqCst) - before;
-            (net, republishes)
-        };
-        let (batched, batched_gens) = build(true);
-        let (unbatched, unbatched_gens) = build(false);
-        // One generation bump to invalidate clean stamps when the first
-        // mutation is deferred, one for the single flush — versus one per
-        // mutation unbatched.
-        assert_eq!(batched_gens, 2);
-        assert_eq!(unbatched_gens, 100);
-        assert_eq!(batched.view_fingerprint(), unbatched.view_fingerprint());
-        // The coalesced view serves the snapshot fast path as usual.
-        let mut conn = batched.dial("node-7:443").unwrap();
-        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-    }
-
-    #[test]
-    fn batch_preserves_program_order_for_own_dials() {
-        for (clock, net) in all_modes() {
-            net.set_fault_seed(0xBA7C);
-            let echoed = net.batch(|net| {
-                // A bind must be visible to a dial later in the same
-                // batch (the deferral only delays the *published* view).
-                net.bind("kds:443", Arc::new(Echo)).unwrap();
-                let mut conn = net.dial("kds:443").unwrap();
-                let echoed = conn.exchange(b"ping").unwrap();
-                // A plan installed mid-batch governs the very next
-                // exchange, exactly as it would outside a batch.
-                net.peer("kds:443").fault_plan(FaultPlan::outage());
-                let mut conn = net.dial("kds:443").unwrap();
-                assert!(matches!(conn.exchange(b"q"), Err(NetError::Dropped(_))));
-                echoed
-            });
-            assert_eq!(echoed, b"ping");
-            assert_eq!(net.faults_injected(), 1);
-            assert!(clock.now_us() > 0);
-        }
-    }
-
-    #[test]
-    fn nested_batches_flush_at_outermost_exit() {
-        let (_, net) = fabric();
-        let before = net.fabric.view_gen.load(Ordering::SeqCst);
-        net.batch(|net| {
-            net.bind("outer:443", Arc::new(Echo)).unwrap();
-            net.batch(|net| {
-                net.bind("inner:443", Arc::new(Echo)).unwrap();
-            });
-            // The inner scope ended but the outer batch is still open:
-            // nothing has been published yet beyond the stamp bump.
-            assert_eq!(net.fabric.view_gen.load(Ordering::SeqCst), before + 1);
-        });
-        assert_eq!(net.fabric.view_gen.load(Ordering::SeqCst), before + 2);
-        net.dial("outer:443").unwrap();
-        net.dial("inner:443").unwrap();
-    }
-
-    #[test]
-    fn batch_flushes_even_when_the_closure_panics() {
-        let (_, net) = fabric();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            net.batch(|net| {
-                net.bind("survivor:443", Arc::new(Echo)).unwrap();
-                panic!("mid-batch failure");
-            })
-        }));
-        assert!(result.is_err());
-        // The guard flushed the deferred mutations on unwind: the bind is
-        // published and the batch depth is back to zero (the fast path
-        // serves the dial).
-        assert_eq!(net.fabric.batch_depth.load(Ordering::Relaxed), 0);
-        let mut conn = net.dial("survivor:443").unwrap();
-        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-    }
-
-    #[test]
-    fn batch_overflow_falls_back_to_full_rebuild() {
-        let (_, net) = fabric();
-        net.batch(|net| {
-            for i in 0..(BATCH_REBUILD_THRESHOLD + 50) {
-                net.bind(&format!("node-{i}:443"), Arc::new(Echo)).unwrap();
-            }
-        });
-        // Above the dirty-list threshold the flush rebuilds the whole
-        // tree from the shards; the result must be indistinguishable.
-        let (_, twin) = fabric();
-        for i in 0..(BATCH_REBUILD_THRESHOLD + 50) {
-            twin.bind(&format!("node-{i}:443"), Arc::new(Echo)).unwrap();
-        }
-        assert_eq!(net.view_fingerprint(), twin.view_fingerprint());
-        net.dial(&format!("node-{}:443", BATCH_REBUILD_THRESHOLD + 49))
-            .unwrap();
-    }
-
-    #[test]
-    fn view_fingerprint_agrees_across_modes() {
-        let mut prints = Vec::new();
-        for (_, net) in all_modes() {
-            net.set_fault_seed(0xF1F1);
-            net.bind("kds:443", Arc::new(Echo)).unwrap();
-            net.bind("vm:8080", Arc::new(Echo)).unwrap();
-            net.peer("kds:443")
-                .latency_us(30_000)
-                .fault_plan(FaultPlan {
-                    drop_probability: 0.25,
-                    ..FaultPlan::default()
-                });
-            net.peer("vm:8080")
-                .fault_plan_for_route("/attest", FaultPlan::fail_first(2));
-            net.peer("vm:8080").redirect_to("kds:443");
-            prints.push(net.view_fingerprint());
-        }
-        assert_eq!(prints[0], prints[1]);
-        assert_eq!(prints[1], prints[2]);
-        assert!(prints[0].contains("entries:2 planned:2 domains:0"));
+        net.peer("vm:8080")
+            .fault_plan_for_route("/attest", FaultPlan::fail_first(2))
+            .redirect_to("kds:443");
+        // A redirect on an address with no listener still counts.
+        net.peer("ghost:1").redirect_to("kds:443");
+        let print = net.view_fingerprint();
+        assert!(print.contains("entries:3 planned:2 domains:0"), "{print}");
+        assert!(print.contains("kds:443 | listener:1 latency:Some(30000)"));
+        assert!(print.contains("ghost:1 | listener:0 latency:None redirect:Some(\"kds:443\")"));
+        assert!(print.contains("route:/attest:["));
+        // Clearing all shaping (and the listener) forgets the address.
+        net.peer("ghost:1").clear();
+        assert!(net.view_fingerprint().contains("entries:2 planned:2"));
     }
 
     #[test]
     fn route_plan_governs_matching_exchanges_only() {
-        for (_, net) in all_modes() {
-            net.bind("kds:443", Arc::new(Echo)).unwrap();
-            net.set_fault_seed(11);
-            net.peer("kds:443")
-                .fault_plan_for_route("/vcek", FaultPlan::outage());
-            let mut conn = net.dial("kds:443").unwrap();
-            // The lossy route drops; its sibling is untouched.
-            assert!(matches!(
-                conn.exchange_routed("/vcek", b"q"),
-                Err(NetError::Dropped(_))
-            ));
-            let mut conn = net.dial("kds:443").unwrap();
-            assert!(conn.exchange_routed("/cert_chain", b"q").is_ok());
-            // Unrouted exchanges never match a non-empty prefix.
-            let mut conn = net.dial("kds:443").unwrap();
-            assert!(conn.exchange(b"q").is_ok());
-            assert_eq!(net.faults_injected(), 1);
-        }
+        let (_, net) = fabric();
+        net.bind("kds:443", Arc::new(Echo)).unwrap();
+        net.set_fault_seed(11);
+        net.peer("kds:443")
+            .fault_plan_for_route("/vcek", FaultPlan::outage());
+        let mut conn = net.dial("kds:443").unwrap();
+        // The lossy route drops; its sibling is untouched.
+        assert!(matches!(
+            conn.exchange_routed("/vcek", b"q"),
+            Err(NetError::Dropped(_))
+        ));
+        let mut conn = net.dial("kds:443").unwrap();
+        assert!(conn.exchange_routed("/cert_chain", b"q").is_ok());
+        // Unrouted exchanges never match a non-empty prefix.
+        let mut conn = net.dial("kds:443").unwrap();
+        assert!(conn.exchange(b"q").is_ok());
+        assert_eq!(net.faults_injected(), 1);
     }
 
     #[test]
@@ -2467,24 +1276,23 @@ mod tests {
 
     #[test]
     fn peer_clear_removes_all_shaping() {
-        for (clock, net) in all_modes() {
-            net.bind("a:1", Arc::new(Marker(b"a"))).unwrap();
-            net.bind("b:1", Arc::new(Marker(b"b"))).unwrap();
-            net.set_fault_seed(1);
-            net.peer("a:1")
-                .latency_us(99_000)
-                .tamper(Arc::new(|m: &[u8]| m.to_vec()))
-                .redirect_to("b:1")
-                .fault_plan(FaultPlan::fail_first(100))
-                .fault_plan_for_route("/x", FaultPlan::outage());
-            assert!(net.dial("a:1").is_err());
-            net.peer("a:1").clear();
-            let start = clock.now_us();
-            let mut conn = net.dial("a:1").unwrap();
-            assert_eq!(conn.exchange(b"q").unwrap(), b"a");
-            assert_eq!(clock.now_us() - start, 2000);
-            assert_eq!(net.faults_injected(), 1);
-        }
+        let (clock, net) = fabric();
+        net.bind("a:1", Arc::new(Marker(b"a"))).unwrap();
+        net.bind("b:1", Arc::new(Marker(b"b"))).unwrap();
+        net.set_fault_seed(1);
+        net.peer("a:1")
+            .latency_us(99_000)
+            .tamper(Arc::new(|m: &[u8]| m.to_vec()))
+            .redirect_to("b:1")
+            .fault_plan(FaultPlan::fail_first(100))
+            .fault_plan_for_route("/x", FaultPlan::outage());
+        assert!(net.dial("a:1").is_err());
+        net.peer("a:1").clear();
+        let start = clock.now_us();
+        let mut conn = net.dial("a:1").unwrap();
+        assert_eq!(conn.exchange(b"q").unwrap(), b"a");
+        assert_eq!(clock.now_us() - start, 2000);
+        assert_eq!(net.faults_injected(), 1);
     }
 
     #[test]
@@ -2534,36 +1342,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_acquires_no_locks_on_clean_traffic() {
-        // The whole point of the snapshot path: after setup, a clean
-        // dial+exchange workload performs zero lock acquisitions.
-        let (_, net) = fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot);
-        net.bind("a:1", Arc::new(Echo)).unwrap();
-        net.peer("a:1").latency_us(10);
-        let before = net.shard_load();
-        for _ in 0..32 {
-            let mut conn = net.dial("a:1").unwrap();
-            conn.exchange(b"x").unwrap();
-        }
-        assert_eq!(
-            net.shard_load().total(),
-            before.total(),
-            "clean snapshot traffic must not touch shard locks"
-        );
-        // The locked fabric pays per-dial and per-exchange acquisitions.
-        let (_, locked) = fabric_with(DEFAULT_SHARDS, ReadPath::Locked);
-        locked.bind("a:1", Arc::new(Echo)).unwrap();
-        let before = locked.shard_load();
-        let mut conn = locked.dial("a:1").unwrap();
-        conn.exchange(b"x").unwrap();
-        assert!(locked.shard_load().total() > before.total());
-    }
-
-    #[test]
-    fn snapshot_sees_mutations_in_program_order() {
-        // Republish happens inside the mutating call, so a bind/shape
-        // followed by a dial on the same thread always observes it.
-        let (_, net) = fabric_with(DEFAULT_SHARDS, ReadPath::Snapshot);
+    fn mutations_are_visible_in_program_order() {
+        // Every mutation lands in the shard maps before it returns, so a
+        // bind followed by a dial on the same thread always observes it.
+        let (_, net) = fabric();
         for round in 0..32 {
             let address = format!("churn-{round}:443");
             net.bind(&address, Arc::new(Echo)).unwrap();
@@ -2576,76 +1358,71 @@ mod tests {
     #[test]
     fn partition_domain_blocks_dials_until_it_heals() {
         use crate::domain::FaultDomain;
-        for (clock, net) in all_modes() {
-            net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
-            net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
-            net.install_fault_domain(
-                FaultDomain::partition("rack-1", "10.1.")
-                    .healing_at_us(clock.now_us() + 5_000_000)
-                    .with_timeout_us(250_000),
-            );
-            // Inside the partition: the dial times out and charges the
-            // discovery timeout to the clock.
-            let start = clock.now_us();
-            assert!(matches!(
-                net.dial("10.1.0.1:443"),
-                Err(NetError::Timeout(_))
-            ));
-            assert_eq!(clock.now_us() - start, 250_000);
-            assert_eq!(net.faults_injected(), 1);
-            // A sibling subnet is untouched.
-            let mut conn = net.dial("10.2.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-            // After the scheduled heal the subnet is reachable again.
-            clock.advance_us(5_000_000);
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-        }
+        let (clock, net) = fabric();
+        net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
+        net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
+        net.install_fault_domain(
+            FaultDomain::partition("rack-1", "10.1.")
+                .healing_at_us(clock.now_us() + 5_000_000)
+                .with_timeout_us(250_000),
+        );
+        // Inside the partition: the dial times out and charges the
+        // discovery timeout to the clock.
+        let start = clock.now_us();
+        assert!(matches!(
+            net.dial("10.1.0.1:443"),
+            Err(NetError::Timeout(_))
+        ));
+        assert_eq!(clock.now_us() - start, 250_000);
+        assert_eq!(net.faults_injected(), 1);
+        // A sibling subnet is untouched.
+        let mut conn = net.dial("10.2.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
+        // After the scheduled heal the subnet is reachable again.
+        clock.advance_us(5_000_000);
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
     }
 
     #[test]
     fn partition_domain_drops_inflight_exchanges() {
         use crate::domain::FaultDomain;
-        for (_, net) in all_modes() {
-            net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            conn.exchange(b"x").unwrap();
-            // The partition arrives while the connection is open: further
-            // exchanges are dropped, not delivered.
-            net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
-            assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
-            assert_eq!(net.faults_injected(), 1);
-            // Like every injected fault, the drop closes the connection.
-            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
-            net.clear_fault_domain("rack-1");
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-        }
+        let (_, net) = fabric();
+        net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        conn.exchange(b"x").unwrap();
+        // The partition arrives while the connection is open: further
+        // exchanges are dropped, not delivered.
+        net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
+        assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
+        assert_eq!(net.faults_injected(), 1);
+        // Like every injected fault, the drop closes the connection.
+        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
+        net.clear_fault_domain("rack-1");
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
     }
 
     #[test]
     fn asymmetric_domain_only_hits_bound_sources() {
         use crate::domain::FaultDomain;
-        for (_, net) in all_modes() {
-            net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
-            net.install_fault_domain(
-                FaultDomain::partition("uplink", "10.2.").from_sources("10.1."),
-            );
-            // An unbound handle (no source address) does not match a
-            // source-scoped domain.
-            let mut conn = net.dial("10.2.0.1:443").unwrap();
-            assert_eq!(conn.exchange(b"x").unwrap(), b"x");
-            // The reverse direction from an unaffected source also works.
-            let from_safe = net.bound_to("10.3.0.9:443");
-            assert!(from_safe.dial("10.2.0.1:443").is_ok());
-            // Traffic *from* the 10.1. subnet is dark.
-            let from_dark = net.bound_to("10.1.0.9:443");
-            assert_eq!(from_dark.local_address(), Some("10.1.0.9:443"));
-            assert!(matches!(
-                from_dark.dial("10.2.0.1:443"),
-                Err(NetError::Timeout(_))
-            ));
-        }
+        let (_, net) = fabric();
+        net.bind("10.2.0.1:443", Arc::new(Echo)).unwrap();
+        net.install_fault_domain(FaultDomain::partition("uplink", "10.2.").from_sources("10.1."));
+        // An unbound handle (no source address) does not match a
+        // source-scoped domain.
+        let mut conn = net.dial("10.2.0.1:443").unwrap();
+        assert_eq!(conn.exchange(b"x").unwrap(), b"x");
+        // The reverse direction from an unaffected source also works.
+        let from_safe = net.bound_to("10.3.0.9:443");
+        assert!(from_safe.dial("10.2.0.1:443").is_ok());
+        // Traffic *from* the 10.1. subnet is dark.
+        let from_dark = net.bound_to("10.1.0.9:443");
+        assert_eq!(from_dark.local_address(), Some("10.1.0.9:443"));
+        assert!(matches!(
+            from_dark.dial("10.2.0.1:443"),
+            Err(NetError::Timeout(_))
+        ));
     }
 
     #[test]
@@ -2718,41 +1495,39 @@ mod tests {
     #[test]
     fn domains_take_precedence_over_address_plans() {
         use crate::domain::FaultDomain;
-        for (_, net) in all_modes() {
-            net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
-            net.set_fault_seed(1);
-            // The address plan alone would reset the connection; the
-            // partition (the lower layer) wins and drops instead.
-            net.peer("10.1.0.1:443").fault_plan(FaultPlan {
-                reset_probability: 1.0,
-                ..FaultPlan::default()
-            });
-            let mut conn = net.dial("10.1.0.1:443").unwrap();
-            net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
-            assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
-            net.clear_fault_domain("rack-1");
-            assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
-        }
+        let (_, net) = fabric();
+        net.bind("10.1.0.1:443", Arc::new(Echo)).unwrap();
+        net.set_fault_seed(1);
+        // The address plan alone would reset the connection; the
+        // partition (the lower layer) wins and drops instead.
+        net.peer("10.1.0.1:443").fault_plan(FaultPlan {
+            reset_probability: 1.0,
+            ..FaultPlan::default()
+        });
+        let mut conn = net.dial("10.1.0.1:443").unwrap();
+        net.install_fault_domain(FaultDomain::partition("rack-1", "10.1."));
+        assert!(matches!(conn.exchange(b"x"), Err(NetError::Dropped(_))));
+        net.clear_fault_domain("rack-1");
+        assert_eq!(conn.exchange(b"x"), Err(NetError::ConnectionClosed));
     }
 
     #[test]
     fn concurrent_dials_to_disjoint_addresses_succeed() {
-        for (_, net) in all_modes() {
-            for i in 0..64 {
-                net.bind(&format!("n{i}:443"), Arc::new(Echo)).unwrap();
-            }
-            std::thread::scope(|s| {
-                for t in 0..8 {
-                    let net = net.clone();
-                    s.spawn(move || {
-                        for i in 0..64 {
-                            let address = format!("n{}:443", (t * 8 + i) % 64);
-                            let mut conn = net.dial(&address).unwrap();
-                            assert_eq!(conn.exchange(b"ping").unwrap(), b"ping");
-                        }
-                    });
-                }
-            });
+        let (_, net) = fabric();
+        for i in 0..64 {
+            net.bind(&format!("n{i}:443"), Arc::new(Echo)).unwrap();
         }
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let net = net.clone();
+                s.spawn(move || {
+                    for i in 0..64 {
+                        let address = format!("n{}:443", (t * 8 + i) % 64);
+                        let mut conn = net.dial(&address).unwrap();
+                        assert_eq!(conn.exchange(b"ping").unwrap(), b"ping");
+                    }
+                });
+            }
+        });
     }
 }

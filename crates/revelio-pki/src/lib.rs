@@ -21,6 +21,8 @@
 //! # Ok::<(), revelio_pki::PkiError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod acme;
 pub mod ca;
 pub mod cert;

@@ -38,6 +38,8 @@
 //! # Ok::<(), revelio_storage::StorageError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod crypt;
 pub mod error;

@@ -19,6 +19,8 @@
 //! * [`DeviceProbe`], a hook the storage layer uses to charge simulated
 //!   I/O time and record per-device metrics.
 
+#![forbid(unsafe_code)]
+
 mod export;
 pub mod flight;
 mod metrics;
@@ -29,6 +31,7 @@ pub mod trace;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 use revelio_net::clock::SimClock;
@@ -52,8 +55,11 @@ pub use revelio_net::clock::SimClock as TelemetryClock;
 #[derive(Debug, Default)]
 pub(crate) struct State {
     pub(crate) spans: SpanLog,
-    /// Stack of open span ids; the top is the parent of the next span.
-    pub(crate) stack: Vec<u64>,
+    /// Open spans in opening order, each tagged with the thread that
+    /// opened it. A thread's last entry is the parent of the next span
+    /// it opens, so threads sharing one registry never adopt each
+    /// other's spans.
+    pub(crate) open: Vec<(ThreadId, u64)>,
     /// Last allocated trace id; 0 is reserved (never a valid trace).
     pub(crate) last_trace_id: u64,
     pub(crate) counters: BTreeMap<String, u64>,
@@ -77,6 +83,23 @@ impl State {
                 self.last_trace_id += 1;
                 self.last_trace_id
             }
+        }
+    }
+
+    /// The innermost span `thread` has open.
+    pub(crate) fn open_span(&self, thread: ThreadId) -> Option<u64> {
+        self.open
+            .iter()
+            .rev()
+            .find(|(opener, _)| *opener == thread)
+            .map(|&(_, id)| id)
+    }
+
+    /// Removes `thread`'s open span `id` wherever it sits (out-of-order
+    /// finishes are tolerated).
+    pub(crate) fn close_span(&mut self, thread: ThreadId, id: u64) {
+        if let Some(pos) = self.open.iter().rposition(|&open| open == (thread, id)) {
+            self.open.remove(pos);
         }
     }
 }

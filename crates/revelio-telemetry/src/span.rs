@@ -1,6 +1,7 @@
 //! Named, nested, attributed spans timed by the sim clock.
 
 use std::collections::BTreeMap;
+use std::thread::{self, ThreadId};
 
 use crate::Telemetry;
 
@@ -163,11 +164,14 @@ fn owned_attrs(attrs: &[(&str, &str)]) -> BTreeMap<String, String> {
 pub struct SpanGuard {
     telemetry: Telemetry,
     id: u64,
+    /// The thread that opened the span.
+    thread: ThreadId,
     finished: bool,
 }
 
 impl Telemetry {
-    /// Opens a span named `name`, child of the innermost open span.
+    /// Opens a span named `name`, child of the innermost span the calling
+    /// thread has open.
     pub fn span(&self, name: &str) -> SpanGuard {
         self.span_with(name, &[])
     }
@@ -179,9 +183,10 @@ impl Telemetry {
         let name = name.to_string();
         let attrs = owned_attrs(attrs);
         let start_us = self.inner.clock.now_us();
+        let thread = thread::current().id();
         let mut state = self.inner.state.lock();
         let id = state.spans.len() as u64;
-        let parent = state.stack.last().copied();
+        let parent = state.open_span(thread);
         let trace_id = state.trace_of(parent);
         state.spans.push(SpanRecord {
             id,
@@ -192,16 +197,17 @@ impl Telemetry {
             end_us: None,
             attrs,
         });
-        state.stack.push(id);
+        state.open.push((thread, id));
         SpanGuard {
             telemetry: self.clone(),
             id,
+            thread,
             finished: false,
         }
     }
 
     /// Opens a span whose parent is an *explicit* [`TraceContext`] rather
-    /// than the innermost open span — the server half of context
+    /// than the thread's innermost open span — the server half of context
     /// propagation: the router parses the `traceparent` header a client
     /// injected and parents its handler span to the remote caller's span,
     /// stitching the cross-node tree together.
@@ -214,6 +220,7 @@ impl Telemetry {
         let name = name.to_string();
         let attrs = owned_attrs(attrs);
         let start_us = self.inner.clock.now_us();
+        let thread = thread::current().id();
         let mut state = self.inner.state.lock();
         let id = state.spans.len() as u64;
         state.spans.push(SpanRecord {
@@ -225,20 +232,22 @@ impl Telemetry {
             end_us: None,
             attrs,
         });
-        state.stack.push(id);
+        state.open.push((thread, id));
         SpanGuard {
             telemetry: self.clone(),
             id,
+            thread,
             finished: false,
         }
     }
 
-    /// The [`TraceContext`] of the innermost open span, ready to inject
-    /// into an outgoing request; `None` outside any span.
+    /// The [`TraceContext`] of the calling thread's innermost open span,
+    /// ready to inject into an outgoing request; `None` outside any span.
     #[must_use]
     pub fn current_context(&self) -> Option<TraceContext> {
+        let thread = thread::current().id();
         let state = self.inner.state.lock();
-        let id = *state.stack.last()?;
+        let id = state.open_span(thread)?;
         Some(TraceContext {
             trace_id: state.spans.get(id as usize)?.trace_id,
             span_id: id,
@@ -280,9 +289,10 @@ impl Telemetry {
         let name = name.to_string();
         let attrs = owned_attrs(attrs);
         let start_us = self.inner.clock.now_us();
+        let thread = thread::current().id();
         let mut state = self.inner.state.lock();
         let id = state.spans.len() as u64;
-        let parent = state.stack.last().copied();
+        let parent = state.open_span(thread);
         let trace_id = state.trace_of(parent);
         state.spans.push(SpanRecord {
             id,
@@ -302,12 +312,9 @@ impl Telemetry {
         self.inner.state.lock().spans.get(id as usize).cloned()
     }
 
-    fn finish_span(&self, id: u64, end_us: u64) -> f64 {
+    fn finish_span(&self, id: u64, thread: ThreadId, end_us: u64) -> f64 {
         let mut state = self.inner.state.lock();
-        // Out-of-order drops are tolerated: remove the id wherever it sits.
-        if let Some(pos) = state.stack.iter().rposition(|&open| open == id) {
-            state.stack.remove(pos);
-        }
+        state.close_span(thread, id);
         let span = state
             .spans
             .get_mut(id as usize)
@@ -341,7 +348,7 @@ impl SpanGuard {
     pub fn finish_ms(mut self) -> f64 {
         self.finished = true;
         let end = self.telemetry.inner.clock.now_us();
-        self.telemetry.finish_span(self.id, end)
+        self.telemetry.finish_span(self.id, self.thread, end)
     }
 
     /// Finishes the span with a *modelled* duration: the end time is
@@ -354,7 +361,7 @@ impl SpanGuard {
             .map(|s| s.start_us)
             .unwrap_or_default();
         let end = start.saturating_add((ms * 1000.0).max(0.0) as u64);
-        self.telemetry.finish_span(self.id, end)
+        self.telemetry.finish_span(self.id, self.thread, end)
     }
 }
 
@@ -362,7 +369,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if !self.finished {
             let end = self.telemetry.inner.clock.now_us();
-            self.telemetry.finish_span(self.id, end);
+            self.telemetry.finish_span(self.id, self.thread, end);
         }
     }
 }

@@ -6,8 +6,8 @@
 //! ordered with ties broken by span id, computes the critical path and
 //! per-hop self-time, and renders Chrome `trace_event` JSON plus a text
 //! flame summary. Every output is a pure function of the recorded spans,
-//! so a fixed seed yields byte-identical bytes regardless of thread count
-//! or fabric mode.
+//! so a fixed seed yields byte-identical bytes regardless of thread
+//! count.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -262,7 +262,7 @@ impl TraceAssembler {
 
 /// Renders every trace in the registry (allocation order) as flame
 /// summaries plus Chrome JSON — the canonical "whole run" export the
-/// determinism suite byte-compares across thread counts and fabric modes.
+/// determinism suite byte-compares across thread counts.
 #[must_use]
 pub fn export_all_traces(telemetry: &Telemetry) -> String {
     let mut out = String::new();

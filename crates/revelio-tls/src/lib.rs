@@ -21,6 +21,8 @@
 //! HKDF over the shared secret; records are ChaCha20-Poly1305 with
 //! direction-separated keys and sequence-number nonces.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod handshake;

@@ -24,7 +24,7 @@
 //!   measurement-vs-golden. Its result is an [`EvidenceVerdict`] cached
 //!   under a [`VerdictKey`] (launch digest, reported TCB, VCEK
 //!   fingerprint, cert fingerprint) inside a generation-stamped
-//!   [`Snapshot`] cell. `register_site` / `revoke_measurement` /
+//!   `RwLock<Arc<VerifierState>>`. `register_site` / `revoke_measurement` /
 //!   [`WebExtension::set_tcb_floor`] bump the generation, making every
 //!   cached verdict unreachable at once — no TTLs, no stale trust.
 //! * [`WebExtension::verify_connection`] — the **per-connection** stage:
@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use revelio_crypto::ed25519::VerifyingKey;
 use revelio_crypto::sha2::Sha256;
 use revelio_http::client::{HttpsClient, HttpsSession};
@@ -50,7 +50,6 @@ use revelio_net::clock::SimClock;
 use revelio_net::dns::DnsZone;
 use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
-use revelio_net::snapshot::Snapshot;
 use revelio_pki::cert::Certificate;
 use revelio_telemetry::{retry_with_telemetry, FlightDump, FlightRecorder, Telemetry};
 use revelio_tls::{ResumptionState, TlsClientConfig};
@@ -354,7 +353,7 @@ struct Dispatched {
 /// The web extension.
 ///
 /// All methods take `&self`: registration, revocation, and the verdict
-/// cache live behind a generation-stamped [`Snapshot`] cell, so one
+/// cache live in one generation-stamped `RwLock<Arc<VerifierState>>`, so one
 /// extension instance is safely shared across concurrent sessions (the
 /// swarm benchmark drives a million sessions through one instance).
 pub struct WebExtension {
@@ -362,7 +361,10 @@ pub struct WebExtension {
     kds: KdsHttpClient,
     config: ExtensionConfig,
     client: HttpsClient,
-    verifier: Snapshot<VerifierState>,
+    /// Readers clone the `Arc` under the read lock and verify against a
+    /// consistent (golden, verdicts) pair without holding the lock;
+    /// writers edit copy-on-write under the write lock.
+    verifier: RwLock<Arc<VerifierState>>,
     /// Per-domain session tickets, each stamped with the verdict
     /// generation it was earned under (see [`CachedResumption`]).
     resumption: Mutex<HashMap<String, CachedResumption>>,
@@ -374,7 +376,7 @@ pub struct WebExtension {
 impl std::fmt::Debug for WebExtension {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WebExtension")
-            .field("registered_sites", &self.verifier.read(|s| s.golden.len()))
+            .field("registered_sites", &self.verifier.read().golden.len())
             .finish_non_exhaustive()
     }
 }
@@ -413,7 +415,7 @@ impl WebExtension {
             kds,
             config,
             client,
-            verifier: Snapshot::new(Arc::new(VerifierState::default())),
+            verifier: RwLock::default(),
             resumption: Mutex::new(HashMap::new()),
             telemetry,
             retry: Self::default_retry_policy(),
@@ -508,13 +510,13 @@ impl WebExtension {
     /// see a *consistent* (golden, verdicts) pair; they just can no
     /// longer insert into the new generation with a stale stamp.
     fn bump_generation(&self, mutate: impl FnOnce(&mut VerifierState)) {
-        self.verifier.update(|current| {
-            let mut next = current.clone();
+        {
+            let mut state = self.verifier.write();
+            let next = Arc::make_mut(&mut state);
             next.generation += 1;
             next.verdicts.clear();
-            mutate(&mut next);
-            (Arc::new(next), ())
-        });
+            mutate(next);
+        }
         self.telemetry
             .counter_add("revelio_extension_verify_cache_invalidations_total", 1);
     }
@@ -533,7 +535,7 @@ impl WebExtension {
     /// Whether `domain` is registered for validation.
     #[must_use]
     pub fn is_registered(&self, domain: &str) -> bool {
-        self.verifier.read(|s| s.golden.contains_key(domain))
+        self.verifier.read().golden.contains_key(domain)
     }
 
     /// Revokes a golden measurement for a registered domain (image
@@ -573,19 +575,19 @@ impl WebExtension {
     /// The current TCB floor, if any.
     #[must_use]
     pub fn tcb_floor(&self) -> Option<TcbVersion> {
-        self.verifier.read(|s| s.tcb_floor)
+        self.verifier.read().tcb_floor
     }
 
     /// The current verdict-cache generation (diagnostics / tests).
     #[must_use]
     pub fn verdict_generation(&self) -> u64 {
-        self.verifier.read(|s| s.generation)
+        self.verifier.read().generation
     }
 
     /// Number of cached verdicts in the current generation.
     #[must_use]
     pub fn cached_verdicts(&self) -> usize {
-        self.verifier.read(|s| s.verdicts.len())
+        self.verifier.read().verdicts.len()
     }
 
     /// **Stage 1 — cacheable.** Verifies everything about `evidence`
@@ -610,7 +612,7 @@ impl WebExtension {
         domain: &str,
         evidence: &EvidenceBundle,
     ) -> Result<EvidenceVerdict, RevelioError> {
-        let state = self.verifier.load();
+        let state = Arc::clone(&self.verifier.read());
         let golden = state
             .golden
             .get(domain)
@@ -687,20 +689,20 @@ impl WebExtension {
         //    generation.
         let generation = state.generation;
         let reported_tcb = evidence.report.report.reported_tcb;
-        self.verifier.update(|current| {
-            let mut next = current.clone();
-            if current.generation == generation {
-                next.verdicts.insert(
-                    key,
-                    CachedVerdict {
-                        measurement,
-                        reported_tcb,
-                        generation,
-                    },
-                );
-            }
-            (Arc::new(next), ())
-        });
+        // Drop our reader's `Arc` first so the insert edits in place
+        // unless another session still holds the state.
+        drop(state);
+        let mut current = self.verifier.write();
+        if current.generation == generation {
+            Arc::make_mut(&mut current).verdicts.insert(
+                key,
+                CachedVerdict {
+                    measurement,
+                    reported_tcb,
+                    generation,
+                },
+            );
+        }
         Ok(EvidenceVerdict {
             measurement,
             reported_tcb,

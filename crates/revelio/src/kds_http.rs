@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use revelio_crypto::wire::{ByteReader, ByteWriter};
 use revelio_http::message::{Request, Response};
 use revelio_http::router::Router;
@@ -16,7 +17,6 @@ use revelio_http::server::{plain_request_traced, serve_http};
 use revelio_http::HttpError;
 use revelio_net::net::SimNet;
 use revelio_net::retry::RetryPolicy;
-use revelio_net::snapshot::Snapshot;
 use revelio_telemetry::{retry_with_telemetry, Telemetry};
 use sev_snp::ids::{ChipId, TcbVersion};
 use sev_snp::kds::{AmdCert, KeyDistributionService, VcekCertChain};
@@ -100,12 +100,12 @@ pub fn serve_kds_with_telemetry(
 /// with the generation it was filled under.
 ///
 /// Reads vastly outnumber writes — a chain is fetched once per firmware
-/// TCB and then served to every warm-cache browse — so the state sits
-/// behind the same lock-free [`Snapshot`] cell the fabric's dial fast
-/// path uses: hits cost one atomic load, and the rare insert republishes
-/// a copied map under the cell's writer lock (concurrent inserts of
-/// distinct keys compose; racing fetches of the *same* key insert the
-/// same chain, so last-writer-wins is harmless).
+/// TCB and then served to every warm-cache browse — so the state is an
+/// immutable `Arc` behind a `RwLock`: a hit clones the `Arc` under the
+/// read lock, and the rare insert edits the map under the write lock
+/// (copy-on-write through [`Arc::make_mut`] while a reader still holds
+/// the old state). Racing fetches of the *same* key insert the same
+/// chain, so last-writer-wins is harmless.
 ///
 /// The generation is the invalidation path the verdict cache already
 /// has: [`KdsHttpClient::flush_cache`] bumps it and clears the map, and
@@ -118,7 +118,7 @@ struct VcekCacheState {
     chains: HashMap<(ChipId, u64), VcekCertChain>,
 }
 
-type VcekCache = Arc<Snapshot<VcekCacheState>>;
+type VcekCache = Arc<RwLock<Arc<VcekCacheState>>>;
 
 /// Decorrelates the KDS retry jitter stream from other components.
 const KDS_JITTER_SEED: u64 = 0x006b_6473; // "kds"
@@ -157,7 +157,7 @@ impl KdsHttpClient {
         KdsHttpClient {
             net,
             address: address.to_owned(),
-            cache: Some(Arc::new(Snapshot::new(Arc::new(VcekCacheState::default())))),
+            cache: Some(Arc::default()),
             telemetry: None,
             retry: Self::default_retry_policy(),
         }
@@ -207,7 +207,7 @@ impl KdsHttpClient {
         // valid only for the cache state the miss was observed under.
         let mut fetch_generation = 0u64;
         if let Some(cache) = &self.cache {
-            let state = cache.load();
+            let state = Arc::clone(&cache.read());
             fetch_generation = state.generation;
             if let Some(chain) = state.chains.get(&(*chip_id, tcb.to_u64())) {
                 if let Some(telemetry) = &self.telemetry {
@@ -259,17 +259,16 @@ impl KdsHttpClient {
         }
         let chain = result?;
         if let Some(cache) = &self.cache {
-            cache.update(|state| {
-                // A flush moved the generation while this fetch was in
-                // flight: the chain may be exactly the stale endorsement
-                // the flush evicted, so the insert is skipped — the race
-                // loses cleanly, never misfiles.
-                let mut next = state.clone();
-                if next.generation == fetch_generation {
-                    next.chains.insert((*chip_id, tcb.to_u64()), chain.clone());
-                }
-                (Arc::new(next), ())
-            });
+            let mut state = cache.write();
+            // A flush moved the generation while this fetch was in
+            // flight: the chain may be exactly the stale endorsement the
+            // flush evicted, so the insert is skipped — the race loses
+            // cleanly, never misfiles.
+            if state.generation == fetch_generation {
+                Arc::make_mut(&mut state)
+                    .chains
+                    .insert((*chip_id, tcb.to_u64()), chain.clone());
+            }
         }
         Ok(chain)
     }
@@ -285,15 +284,13 @@ impl KdsHttpClient {
     /// attached.
     pub fn flush_cache(&self) {
         let Some(cache) = &self.cache else { return };
-        cache.update(|state| {
-            (
-                Arc::new(VcekCacheState {
-                    generation: state.generation + 1,
-                    chains: HashMap::new(),
-                }),
-                (),
-            )
-        });
+        {
+            let mut state = cache.write();
+            *state = Arc::new(VcekCacheState {
+                generation: state.generation + 1,
+                chains: HashMap::new(),
+            });
+        }
         if let Some(telemetry) = &self.telemetry {
             telemetry.counter_add("revelio_kds_client_cache_invalidations_total", 1);
         }
@@ -302,15 +299,13 @@ impl KdsHttpClient {
     /// The current cache generation (`None` for cache-less clients).
     #[must_use]
     pub fn cache_generation(&self) -> Option<u64> {
-        self.cache.as_ref().map(|c| c.read(|s| s.generation))
+        self.cache.as_ref().map(|c| c.read().generation)
     }
 
     /// Number of VCEK chains currently cached.
     #[must_use]
     pub fn cached_chains(&self) -> usize {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.read(|s| s.chains.len()))
+        self.cache.as_ref().map_or(0, |c| c.read().chains.len())
     }
 
     /// Fetches the chip-independent ARK → ASK certificates from the KDS

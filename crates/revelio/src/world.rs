@@ -207,34 +207,14 @@ impl SimWorld {
     /// Panics only if internal setup fails (addresses are fresh).
     #[must_use]
     pub fn with_tuning(seed: u64, tuning: WorldTuning) -> Self {
-        let net_config = NetConfig {
-            default_one_way_us: tuning.link_one_way_us,
-            ..NetConfig::default()
-        }
-        // CI exercises the determinism suites under every fabric
-        // read path via REVELIO_FABRIC_MODE.
-        .with_env_mode();
-        Self::with_tuning_and_net(seed, tuning, net_config)
-    }
-
-    /// Creates a world with custom latency calibration **and** an
-    /// explicit fabric configuration, bypassing `REVELIO_FABRIC_MODE`.
-    /// The determinism suites use this to pin each of the three fabric
-    /// read paths in turn regardless of the ambient environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if internal setup fails (addresses are fresh).
-    #[must_use]
-    pub fn with_tuning_and_net(seed: u64, tuning: WorldTuning, net_config: NetConfig) -> Self {
         let clock = SimClock::new();
         let telemetry = Telemetry::new(clock.clone());
-        let net = SimNet::new(clock.clone(), net_config);
-        // The KDS is the hottest address in every scenario (each cold
-        // attestation dials it): give it a dedicated lock stripe before
-        // any traffic flows.
-        net.stripe_hot(KDS_ADDRESS)
-            .expect("fresh fabric has a free hot stripe for the KDS");
+        let net = SimNet::new(
+            clock.clone(),
+            NetConfig {
+                default_one_way_us: tuning.link_one_way_us,
+            },
+        );
         let flight = FlightDirectory::new(clock.clone(), DEFAULT_FLIGHT_CAPACITY);
         // Mirror every injected fault into the world registry so chaos
         // runs can assert on (and diff) `revelio_net_faults_injected_total`
@@ -508,13 +488,8 @@ impl SimWorld {
         let mut nodes = Vec::with_capacity(total);
         let mut golden_measurement = None;
         let home_subnet = self.subnet;
-        // Deploying a node is a burst of fabric mutations (binds, latency
-        // shaping); a batch scope coalesces the whole fleet into one view
-        // republish instead of one per mutation. Dials issued while the
-        // batch is open (node boot traffic) take the locked path and see
-        // every prior write, so behaviour is unchanged.
-        let net = self.net.clone();
-        let deployed = net.batch(|_| {
+        // The subnet cursor is restored below even when a deploy fails.
+        let deployed = (|| {
             for (subnet, count) in groups {
                 self.subnet = *subnet;
                 for _ in 0..*count {
@@ -529,7 +504,7 @@ impl SimWorld {
                 }
             }
             Ok::<(), RevelioError>(())
-        });
+        })();
         self.subnet = home_subnet;
         deployed?;
         let golden_measurement = golden_measurement.expect("fleets have at least one node");

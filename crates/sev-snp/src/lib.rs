@@ -54,6 +54,8 @@
 //! # Ok::<(), sev_snp::SnpError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod ids;
 pub mod kds;

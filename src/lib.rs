@@ -5,6 +5,8 @@
 //! the `crates/` members; start with the [`revelio`] crate's documentation
 //! and the repository `README.md`.
 
+#![forbid(unsafe_code)]
+
 pub use revelio;
 pub use revelio_boot;
 pub use revelio_build;

@@ -1,26 +1,21 @@
-//! Multi-threaded stress for the sharded `SimNet` fabric, run under
-//! every fabric read path.
+//! Multi-threaded stress for the sharded `SimNet` fabric.
 //!
 //! The fabric promises two things under concurrency:
 //!
 //! 1. **Liveness/safety** — N threads dialing overlapping addresses while
 //!    other threads bind/unbind listeners and churn traffic shaping must
 //!    never deadlock, and must never lose a listener that was not
-//!    unbound. On the snapshot read path this additionally exercises the
-//!    epoch republish machinery: shaper churn republishes the routing
-//!    view thousands of times while dialers read it lock-free.
+//!    unbound.
 //! 2. **Determinism** — fault streams are keyed by address (and route),
-//!    not by shard, thread, or read path, so as long as each address is
-//!    driven by one thread, per-address outcomes, the injected-fault
-//!    total, and the total sim-clock advance are identical across thread
-//!    counts — and across all three fabric modes (single-lock, sharded
-//!    locked, snapshot).
+//!    not by shard or thread, so as long as each address is driven by one
+//!    thread, per-address outcomes, the injected-fault total, and the
+//!    total sim-clock advance are identical across thread counts.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use revelio_net::clock::SimClock;
-use revelio_net::net::{ConnectionHandler, Listener, NetConfig, ReadPath, SimNet, DEFAULT_SHARDS};
+use revelio_net::net::{ConnectionHandler, Listener, NetConfig, SimNet};
 use revelio_net::{FaultPlan, NetError};
 
 /// Echoes every message back, prefixed so tampering would be visible.
@@ -48,62 +43,33 @@ fn churn_addr(i: usize) -> String {
     format!("churn-{i}.stress.test:443")
 }
 
-/// The three fabric modes the suite pins: single-lock, sharded with
-/// locked reads, and sharded with the lock-free snapshot path.
-fn all_modes() -> [(&'static str, NetConfig); 3] {
-    [
-        (
-            "single-lock",
-            NetConfig {
-                shards: 1,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "sharded",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "snapshot",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Snapshot,
-                ..NetConfig::default()
-            },
-        ),
-    ]
-}
-
-fn stress_one_mode(mode: &str, config: NetConfig) {
+#[test]
+fn concurrent_dials_churn_and_shaping_lose_no_listener_and_do_not_deadlock() {
     const STABLE: usize = 32;
     const DIAL_THREADS: usize = 8;
     const DIALS_PER_THREAD: usize = 400;
     const CHURN_THREADS: usize = 2;
     const SHAPER_THREADS: usize = 2;
 
-    let net = SimNet::new(SimClock::new(), config);
-    // Exercise hot striping under stress too: two stable addresses get
-    // dedicated stripes before traffic starts.
-    net.stripe_hot(&stable_addr(0)).unwrap();
-    net.stripe_hot(&stable_addr(1)).unwrap();
+    let net = SimNet::new(SimClock::new(), NetConfig::default());
     for i in 0..STABLE {
         net.bind(&stable_addr(i), Arc::new(Echo)).unwrap();
     }
 
     let stop = AtomicBool::new(false);
     let ok_dials = AtomicU64::new(0);
+    // Churners and shapers each count themselves in after their first
+    // round; `stop` is raised only once all of them have, so the round
+    // assertions below never depend on when the OS schedules a thread.
+    let started = AtomicUsize::new(0);
     std::thread::scope(|s| {
         // Dialers hammer the stable fleet with heavy address overlap; a
         // stable listener must never be missing.
+        let mut dialers = Vec::new();
         for t in 0..DIAL_THREADS {
             let net = net.clone();
             let ok_dials = &ok_dials;
-            s.spawn(move || {
+            dialers.push(s.spawn(move || {
                 for d in 0..DIALS_PER_THREAD {
                     let i = (d + t * 7) % STABLE;
                     let mut conn = net
@@ -113,16 +79,17 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
                     assert_eq!(reply, b"echo:ping");
                     ok_dials.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+            }));
         }
         // Churners bind, dial, and unbind their own addresses in a loop;
-        // between bind and unbind the dial must succeed (on the snapshot
-        // path this pins that republish happens inside bind/unbind, so a
-        // thread observes its own mutations in program order).
+        // between bind and unbind the dial must succeed (a thread observes
+        // its own mutations in program order).
+        let mut background = Vec::new();
         for t in 0..CHURN_THREADS {
             let net = net.clone();
             let stop = &stop;
-            s.spawn(move || {
+            let started = &started;
+            background.push(s.spawn(move || {
                 let mut round = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let address = churn_addr(t);
@@ -132,9 +99,12 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
                     net.unbind(&address);
                     assert!(net.dial(&address).is_err(), "unbind did not take");
                     round += 1;
+                    if round == 1 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 assert!(round > 0, "churner never completed a round");
-            });
+            }));
         }
         // Shapers churn latency overrides, redirects-to-nowhere cleanup,
         // and zero-probability fault plans (plan churn must not inject
@@ -142,7 +112,8 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
         for t in 0..SHAPER_THREADS {
             let net = net.clone();
             let stop = &stop;
-            s.spawn(move || {
+            let started = &started;
+            background.push(s.spawn(move || {
                 let mut round = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let i = (round + t * 13) % STABLE;
@@ -154,56 +125,47 @@ fn stress_one_mode(mode: &str, config: NetConfig) {
                         .fault_plan_for_route("/never", FaultPlan::default());
                     let _ = net.peer(&address).clear();
                     round += 1;
+                    if round == 1 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-            });
+            }));
         }
-        // Let the churners/shapers run for as long as the dialers do.
-        let net = net.clone();
-        let stop = &stop;
-        let ok_dials = &ok_dials;
-        s.spawn(move || {
-            let target = (DIAL_THREADS * DIALS_PER_THREAD) as u64;
-            while ok_dials.load(Ordering::Relaxed) < target {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Relaxed);
-            let _ = net;
-        });
+        // Let the churners/shapers run for as long as the dialers do,
+        // and at least one round each. A background thread that finished
+        // before `stop` can only have panicked; the scope reports it.
+        while (!dialers.iter().all(|h| h.is_finished())
+            || started.load(Ordering::Relaxed) < CHURN_THREADS + SHAPER_THREADS)
+            && !background.iter().any(|h| h.is_finished())
+        {
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Relaxed);
     });
 
     assert_eq!(
         ok_dials.load(Ordering::Relaxed),
         (DIAL_THREADS * DIALS_PER_THREAD) as u64,
-        "[{mode}] dial count mismatch"
+        "dial count mismatch"
     );
     // Zero-probability plans and shaping churn never inject faults.
-    assert_eq!(net.faults_injected(), 0, "[{mode}] spurious faults");
+    assert_eq!(net.faults_injected(), 0, "spurious faults");
     // Every stable listener survived the stress.
     for i in 0..STABLE {
         net.dial(&stable_addr(i))
-            .unwrap_or_else(|_| panic!("[{mode}] stable listener {i} lost during stress"));
-    }
-}
-
-#[test]
-fn concurrent_dials_churn_and_shaping_lose_no_listener_and_do_not_deadlock() {
-    for (mode, config) in all_modes() {
-        stress_one_mode(mode, config);
+            .unwrap_or_else(|_| panic!("stable listener {i} lost during stress"));
     }
 }
 
 /// Runs a faulted workload where each address is driven by exactly one
 /// thread, and returns (per-address outcome strings, faults injected,
 /// final sim-clock µs).
-fn run_partitioned(threads: usize, config: NetConfig) -> (Vec<Vec<&'static str>>, u64, u64) {
+fn run_partitioned(threads: usize) -> (Vec<Vec<&'static str>>, u64, u64) {
     const ADDRS: usize = 16;
     const EXCHANGES: usize = 40;
 
     let clock = SimClock::new();
-    let net = SimNet::new(clock.clone(), config);
-    // Hot-stripe one of the faulted addresses: striping must not move
-    // its decision stream (streams are keyed by address, not slot).
-    net.stripe_hot(&stable_addr(3)).unwrap();
+    let net = SimNet::new(clock.clone(), NetConfig::default());
     for i in 0..ADDRS {
         net.bind(&stable_addr(i), Arc::new(Echo)).unwrap();
     }
@@ -258,23 +220,11 @@ fn run_partitioned(threads: usize, config: NetConfig) -> (Vec<Vec<&'static str>>
 #[test]
 fn fault_outcomes_and_clock_are_identical_across_thread_counts_and_modes() {
     // Streams are keyed by address, totals are sums of per-address
-    // contributions: 1, 4 and 16 threads must agree byte-for-byte —
-    // within each fabric mode AND across modes. The cross-mode equality
-    // is the snapshot path's determinism contract: routing reads moved
-    // off the locks without perturbing a single RNG draw.
-    let mut baseline: Option<(Vec<Vec<&'static str>>, u64, u64)> = None;
-    for (mode, config) in all_modes() {
-        let single = run_partitioned(1, config.clone());
-        let four = run_partitioned(4, config.clone());
-        let sixteen = run_partitioned(16, config);
-        assert!(single.1 > 0, "[{mode}] the plan injected no faults at all");
-        assert_eq!(single, four, "[{mode}] 4 threads diverged from sequential");
-        assert_eq!(four, sixteen, "[{mode}] 16 threads diverged from 4");
-        match &baseline {
-            None => baseline = Some(single),
-            Some(expected) => {
-                assert_eq!(expected, &single, "[{mode}] diverged from single-lock");
-            }
-        }
-    }
+    // contributions: 1, 4 and 16 threads must agree byte-for-byte.
+    let single = run_partitioned(1);
+    let four = run_partitioned(4);
+    let sixteen = run_partitioned(16);
+    assert!(single.1 > 0, "the plan injected no faults at all");
+    assert_eq!(single, four, "4 threads diverged from sequential");
+    assert_eq!(four, sixteen, "16 threads diverged from 4");
 }

@@ -13,49 +13,14 @@
 //! * the shared certificate is renewed ahead of `not_after_ms` on a
 //!   long horizon — no tick ever observes an expired chain;
 //! * reconciler decision transcripts are **byte-identical** across 1, 4
-//!   and 16 concurrent runs and across all three fabric modes.
+//!   and 16 concurrent runs.
 
 use revelio::node::demo_app;
 use revelio::reconcile::{FleetSpec, RolloutPhase};
-use revelio::world::{SimWorld, WorldTuning};
-use revelio_net::net::{NetConfig, ReadPath, DEFAULT_SHARDS};
+use revelio::world::SimWorld;
 use revelio_net::FaultDomain;
 
 const RECONCILE_SEED: u64 = 0x5EC0_11C1;
-
-/// The three fabric read paths the determinism gates pin.
-fn all_modes() -> [(&'static str, NetConfig); 3] {
-    let base = NetConfig {
-        default_one_way_us: WorldTuning::default().link_one_way_us,
-        ..NetConfig::default()
-    };
-    [
-        (
-            "single",
-            NetConfig {
-                shards: 1,
-                read_path: ReadPath::Locked,
-                ..base.clone()
-            },
-        ),
-        (
-            "sharded",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Locked,
-                ..base.clone()
-            },
-        ),
-        (
-            "snapshot",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Snapshot,
-                ..base
-            },
-        ),
-    ]
-}
 
 #[test]
 fn rolling_upgrade_completes_canary_first_with_leader_last() {
@@ -281,9 +246,8 @@ fn certificates_renew_ahead_of_not_after_on_a_long_horizon() {
 
 /// One full reconcile scenario — partition/heal flap, then a rolling
 /// upgrade to a new image — returning the decision-transcript digest.
-fn scenario_digest(config: NetConfig) -> String {
-    let mut world =
-        SimWorld::with_tuning_and_net(RECONCILE_SEED ^ 4, WorldTuning::default(), config);
+fn scenario_digest() -> String {
+    let mut world = SimWorld::new(RECONCILE_SEED ^ 4);
     world.set_fault_seed(RECONCILE_SEED ^ 4);
     let fleet = world
         .deploy_fleet_in_subnets("pad.example.org", &[(113, 2), (114, 1)], demo_app())
@@ -311,27 +275,14 @@ fn scenario_digest(config: NetConfig) -> String {
 
 #[test]
 fn transcripts_are_byte_identical_across_threads_and_fabric_modes() {
-    let mut expected: Option<String> = None;
-    for (mode, config) in all_modes() {
-        for threads in [1usize, 4, 16] {
-            let digests: Vec<String> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let config = config.clone();
-                        s.spawn(move || scenario_digest(config))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for digest in digests {
-                match &expected {
-                    None => expected = Some(digest),
-                    Some(e) => assert_eq!(
-                        &digest, e,
-                        "transcript diverged in mode {mode} at {threads} threads"
-                    ),
-                }
-            }
+    let expected = scenario_digest();
+    for threads in [1usize, 4, 16] {
+        let digests: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(scenario_digest)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for digest in digests {
+            assert_eq!(digest, expected, "transcript diverged at {threads} threads");
         }
     }
 }

@@ -2,9 +2,13 @@
 //! of the seed (same seed ⇒ byte-identical bytes), the span tree covers
 //! the whole attestation pipeline, and every node serves a Prometheus
 //! `/metrics` endpoint with the end-user-visible attestation latency.
+//! Threads sharing one registry each build their own span trees.
+
+use std::sync::Barrier;
 
 use revelio::node::demo_app;
 use revelio::world::SimWorld;
+use revelio_net::clock::SimClock;
 use revelio_telemetry::Telemetry;
 
 /// Deploys and provisions a two-node fleet, browses it cold, warm and
@@ -171,4 +175,49 @@ fn nodes_serve_prometheus_metrics_over_attested_tls() {
     let body = String::from_utf8(outcome.response.body.clone()).unwrap();
     assert!(body.contains("revelio_extension_attestation_latency_ms"));
     assert!(body.contains("revelio_node_evidence_requests_total"));
+}
+
+/// N threads share one registry; each opens a root span and then a child
+/// while every other thread's root is still open (the barriers force that
+/// interleaving). Every thread must get its own two-span trace: a child
+/// is parented to its own thread's root, never to another thread's, and
+/// the context a thread would inject into a request names its own span.
+#[test]
+fn threads_sharing_a_registry_build_disjoint_trace_trees() {
+    for threads in [1usize, 4, 16] {
+        let telemetry = Telemetry::new(SimClock::new());
+        let roots_open = Barrier::new(threads);
+        let children_open = Barrier::new(threads);
+        std::thread::scope(|s| {
+            for i in 0..threads {
+                let (telemetry, roots_open, children_open) =
+                    (&telemetry, &roots_open, &children_open);
+                s.spawn(move || {
+                    let name = format!("root-{i}");
+                    let root = telemetry.span(&name);
+                    roots_open.wait();
+                    let child = telemetry.span_with("child", &[("of", &name)]);
+                    assert_eq!(
+                        telemetry.current_context().map(|c| c.span_id),
+                        Some(child.id()),
+                        "{threads} threads: context names another thread's span"
+                    );
+                    children_open.wait();
+                    child.finish_ms();
+                    root.finish_ms();
+                    assert_eq!(telemetry.current_context(), None);
+                });
+            }
+        });
+        let trace_ids = telemetry.trace_ids();
+        assert_eq!(trace_ids.len(), threads, "{threads} threads: trace count");
+        for trace_id in trace_ids {
+            let spans = telemetry.trace_spans(trace_id);
+            assert_eq!(spans.len(), 2, "{threads} threads: trace {trace_id} size");
+            let root = spans.iter().find(|s| s.parent.is_none()).expect("a root");
+            let child = spans.iter().find(|s| s.name == "child").expect("a child");
+            assert_eq!(child.parent, Some(root.id), "{threads} threads: parent");
+            assert_eq!(child.attrs["of"], root.name, "{threads} threads: adopted");
+        }
+    }
 }

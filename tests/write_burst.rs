@@ -1,25 +1,16 @@
-//! Write-burst determinism for the batched, structurally-shared fabric
-//! write path.
+//! Write-burst determinism for the sharded fabric.
 //!
 //! Fleet provisioning and re-attestation sweeps are *write bursts*:
 //! thousands of shaper/bind mutations land while reader threads keep
-//! dialing. The batch scope defers the view republish and the slot tree
-//! path-copies on flush, so two things must be proven under concurrency:
-//!
-//! 1. **Transcript determinism** — with every address driven by one
-//!    thread, per-address dial outcomes, the injected-fault total, the
-//!    sim-clock advance, and the final `view_fingerprint` are
-//!    byte-identical across 1/4/16 threads and all three fabric modes,
-//!    whether the writers mutate inside or outside `batch` scopes.
-//! 2. **Convergence** — a mutation sequence applied through arbitrary
-//!    batch cut points ends in exactly the view the unbatched sequence
-//!    produces (the proptest below).
+//! dialing. With every address driven by one thread, per-address dial
+//! outcomes, the injected-fault total, the sim-clock advance, and the
+//! final `view_fingerprint` must be byte-identical across 1/4/16
+//! threads.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use revelio_net::clock::SimClock;
-use revelio_net::net::{ConnectionHandler, Listener, NetConfig, ReadPath, SimNet, DEFAULT_SHARDS};
+use revelio_net::net::{ConnectionHandler, Listener, NetConfig, SimNet};
 use revelio_net::{FaultPlan, NetError};
 
 struct Echo;
@@ -36,36 +27,6 @@ impl Listener for Echo {
     }
 }
 
-/// The three fabric modes every determinism claim is pinned under.
-fn all_modes() -> [(&'static str, NetConfig); 3] {
-    [
-        (
-            "single-lock",
-            NetConfig {
-                shards: 1,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "sharded",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Locked,
-                ..NetConfig::default()
-            },
-        ),
-        (
-            "snapshot",
-            NetConfig {
-                shards: DEFAULT_SHARDS,
-                read_path: ReadPath::Snapshot,
-                ..NetConfig::default()
-            },
-        ),
-    ]
-}
-
 /// Addresses the reader threads dial (fault plans installed up front).
 const READ_ADDRS: usize = 16;
 /// Addresses the writer threads mutate (never dialed, so writer churn
@@ -74,8 +35,7 @@ const WRITE_ADDRS: usize = 16;
 /// Exchanges per read address — each address's stream is consumed in
 /// program order by its owning thread.
 const EXCHANGES: usize = 30;
-/// Mutation rounds per write address; even rounds run inside a `batch`
-/// scope, odd rounds republish per mutation.
+/// Mutation rounds per write address.
 const ROUNDS: usize = 8;
 
 fn read_addr(i: usize) -> String {
@@ -116,19 +76,11 @@ fn writer_round(net: &SimNet, j: usize, round: usize) {
 }
 
 /// All mutation rounds for the writer owning addresses `j ≡ w (mod
-/// writers)` — alternating batched and unbatched rounds.
+/// writers)`.
 fn writer_work(net: &SimNet, w: usize, writers: usize) {
     for round in 0..ROUNDS {
-        if round % 2 == 0 {
-            net.batch(|net| {
-                for j in (w..WRITE_ADDRS).step_by(writers) {
-                    writer_round(net, j, round);
-                }
-            });
-        } else {
-            for j in (w..WRITE_ADDRS).step_by(writers) {
-                writer_round(net, j, round);
-            }
+        for j in (w..WRITE_ADDRS).step_by(writers) {
+            writer_round(net, j, round);
         }
     }
 }
@@ -158,9 +110,9 @@ fn reader_work(net: &SimNet, r: usize, readers: usize) -> Vec<(usize, Vec<&'stat
 /// Runs the write-burst workload on `threads` OS threads (1 =
 /// sequential; otherwise one writer per four threads, readers take the
 /// rest) and returns the full transcript.
-fn run_burst(threads: usize, config: NetConfig) -> (Vec<Vec<&'static str>>, u64, u64, String) {
+fn run_burst(threads: usize) -> (Vec<Vec<&'static str>>, u64, u64, String) {
     let clock = SimClock::new();
-    let net = SimNet::new(clock.clone(), config);
+    let net = SimNet::new(clock.clone(), NetConfig::default());
     for i in 0..READ_ADDRS {
         net.bind(&read_addr(i), Arc::new(Echo)).unwrap();
     }
@@ -212,96 +164,10 @@ fn run_burst(threads: usize, config: NetConfig) -> (Vec<Vec<&'static str>>, u64,
 
 #[test]
 fn write_burst_transcripts_are_identical_across_thread_counts_and_modes() {
-    let mut baseline: Option<(Vec<Vec<&'static str>>, u64, u64, String)> = None;
-    for (mode, config) in all_modes() {
-        let single = run_burst(1, config.clone());
-        let four = run_burst(4, config.clone());
-        let sixteen = run_burst(16, config);
-        assert!(single.1 > 0, "[{mode}] the plans injected no faults at all");
-        assert_eq!(single, four, "[{mode}] 4 threads diverged from sequential");
-        assert_eq!(four, sixteen, "[{mode}] 16 threads diverged from 4");
-        match &baseline {
-            None => baseline = Some(single),
-            Some(expected) => {
-                assert_eq!(expected, &single, "[{mode}] diverged from single-lock");
-            }
-        }
-    }
-}
-
-/// Applies one decoded mutation op. The op stream is a plain `Vec<u64>`
-/// because the vendored proptest shim has no tuple/enum strategies; each
-/// word decodes to an address (bits 8..) and an op kind (`w % 7`).
-fn apply_op(net: &SimNet, w: u64) {
-    let k = (w >> 8) % 8;
-    let address = format!("prop-{k}.burst.test:443");
-    match w % 7 {
-        0 => {
-            // Double binds are a legitimate op-stream artifact: ignore.
-            let _ = net.bind(&address, Arc::new(Echo));
-        }
-        1 => net.unbind(&address),
-        2 => {
-            let _ = net.peer(&address).latency_us(500 + (w >> 16) % 5_000);
-        }
-        3 => {
-            let _ = net.peer(&address).fault_plan(FaultPlan {
-                drop_probability: ((w >> 16) % 100) as f64 / 100.0,
-                ..FaultPlan::default()
-            });
-        }
-        4 => {
-            let _ = net.peer(&address).clear();
-        }
-        5 => {
-            let target = format!("prop-{}.burst.test:443", (w >> 16) % 8);
-            let _ = net.peer(&address).redirect_to(&target);
-        }
-        _ => {
-            let _ = net
-                .peer(&address)
-                .fault_plan_for_route("/r", FaultPlan::fail_first(((w >> 16) % 4) as u32));
-        }
-    }
-}
-
-fn snapshot_config() -> NetConfig {
-    NetConfig {
-        read_path: ReadPath::Snapshot,
-        ..NetConfig::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Batched and unbatched application of the same mutation sequence
-    /// converge to byte-identical final views, for arbitrary sequences
-    /// and batch cut points (chunk size derived from the stream itself).
-    #[test]
-    fn batched_and_unbatched_mutation_sequences_converge(
-        ops in proptest::collection::vec(any::<u64>(), 0..60),
-    ) {
-        let unbatched = SimNet::new(SimClock::new(), snapshot_config());
-        for &w in &ops {
-            apply_op(&unbatched, w);
-        }
-
-        let batched = SimNet::new(SimClock::new(), snapshot_config());
-        let mut rest: &[u64] = &ops;
-        while !rest.is_empty() {
-            // Cut points come from the data: 1–4 ops per batch scope.
-            let take = ((rest[0] >> 4) % 4 + 1) as usize;
-            let take = take.min(rest.len());
-            let (chunk, tail) = rest.split_at(take);
-            batched.batch(|net| {
-                for &w in chunk {
-                    apply_op(net, w);
-                }
-            });
-            rest = tail;
-        }
-
-        prop_assert_eq!(unbatched.view_fingerprint(), batched.view_fingerprint());
-    }
+    let single = run_burst(1);
+    let four = run_burst(4);
+    let sixteen = run_burst(16);
+    assert!(single.1 > 0, "the plans injected no faults at all");
+    assert_eq!(single, four, "4 threads diverged from sequential");
+    assert_eq!(four, sixteen, "16 threads diverged from 4");
 }
